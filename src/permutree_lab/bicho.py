@@ -10,6 +10,7 @@ dip, replacing the edge by a source ("bs"/"ds", l) out of v_0 and a sink
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial
 
@@ -20,6 +21,7 @@ from .permutree import (
     UPISH,
     Decoration,
     Permutree,
+    as_decoration,
     count_permutrees,
     insert,
     linear_extensions,
@@ -52,8 +54,7 @@ def build_bic(delta) -> fl.FramedGraph:
     none^n is the oruga graph, all-updown the mariposa graph; refinement of
     decorations matches performing more M-moves.
     """
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     n = delta.n
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -139,8 +140,7 @@ def netflow_d(graph) -> tuple:
 
 
 def count_d_flows(delta) -> int:
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     if delta.n == 0:
         return 1
     graph = build_bic(delta)
@@ -183,17 +183,13 @@ def permutree_to_dflow(tree) -> dict:
 
 def dflow_to_permutree(flow, delta) -> Permutree:
     """Insertion from the heights i - f(bump at level n+1-i)."""
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     _require_no_ups(delta)
     n = delta.n
     graph = build_bic(delta)
-    d = netflow_d(graph)
-    for v in range(1, n):
-        into = sum(flow[e] for e in graph.incoming[v])
-        outof = sum(flow[e] for e in graph.outgoing[v])
-        if into + d[v] != outof:
-            raise ValidationError(f"flow violates conservation at v{v}")
+    v = fl.conservation_violation(graph, flow)
+    if v is not None:
+        raise ValidationError(f"flow violates conservation at v{v}")
     bumps = {i: flow[_bump_edge(graph, _level(i, n))] for i in range(1, n + 1)}
     heights = []  # one-line word, bottom to top
     for i in range(1, n + 1):
@@ -214,61 +210,52 @@ def _bump_edge(graph, l):
 def permutree_clique(tree) -> frozenset:
     """Label every edge of the permutree with a route of its bicho graph.
 
-    Runs the insertion algorithm on any linear extension while carrying one
-    route per string; catch/release rewrites the dip-role edge of the node's
-    level into the bump role, splitting or gluing by the decoration.  The
-    labels form a maximal clique of coherent routes.
+    Replays the tree children first: each child slot of a node catches the
+    route its occupant carries (or, when empty, the bottom route of its wall
+    interval), and the node rewrites the dip of its level into the bump,
+    splitting or gluing by the decoration.  The labels form a maximal clique
+    of coherent routes.
     """
     delta = tree.delta
     n = tree.n
     graph = build_bic(delta)
-    pi = min(linear_extensions(tree))
-
-    def level(i):
-        return _level(i, n)
-
-    # bottom zones: split the all-dip route along the down-ish walls, ascending
-    zones = [[0, n + 1, list(all_dip_route_oru(n))]]
-    for i in range(2, n):
-        if delta[i] in DOWNISH:
-            z = next(k for k, zn in enumerate(zones) if zn[0] < i < zn[1])
-            lo, hi, route = zones[z]
-            l = level(i)
-            k = route.index(("d", l))
-            left = [lo, i, route[:k] + [("dt", l)]]
-            right = [i, hi, [("ds", l)] + route[k + 1 :]]
-            zones[z : z + 1] = [left, right]
+    walls = [i for i in range(2, n) if delta[i] in DOWNISH]
+    # bottom routes: the all-dip route cut at the down-ish walls, left to right
+    bottoms = []
+    route = all_dip_route_oru(n)
+    for i in walls:
+        l = _level(i, n)
+        k = route.index(("d", l))
+        bottoms.append(route[:k] + (("dt", l),))
+        route = (("ds", l),) + route[k + 1 :]
+    bottoms.append(route)
+    carried = {}  # (node, parent slot) -> route leaving the node through it
     labels = []
-    for v in pi:
-        dv = delta[v]
-        l = level(v)
-        if dv in DOWNISH:
-            z = next(k for k, zn in enumerate(zones) if zn[1] == v)
-            left, right = zones[z], zones[z + 1]
-            labels.append(tuple(left[2]))
-            labels.append(tuple(right[2]))
-            assert left[2][-1] == ("dt", l) and right[2][0] == ("ds", l)
-            prefix, suffix = left[2][:-1], right[2][1:]
-            merged = [left[0], right[1], None]
-            zones[z : z + 2] = [merged]
-            zone = merged
-            z_idx = z
+    for v in linear_extensions(tree, limit=1)[0]:
+        l = _level(v, n)
+        base = bisect_left(walls, v)
+        caught = [
+            bottoms[base + k] if c is None else carried[c, tree.parents[c - 1].index(v)]
+            for k, c in enumerate(tree.children[v - 1])
+        ]
+        labels.extend(caught)
+        if delta[v] in DOWNISH:
+            left, right = caught
+            if left[-1] != ("dt", l) or right[0] != ("ds", l):
+                raise AssertionError(f"routes caught at node {v} do not meet at its wall")
+            prefix, suffix = left[:-1], right[1:]
         else:
-            z_idx = next(k for k, zn in enumerate(zones) if zn[0] < v < zn[1])
-            zone = zones[z_idx]
-            labels.append(tuple(zone[2]))
-            route = zone[2]
+            (route,) = caught
             k = route.index(("d", l))
             prefix, suffix = route[:k], route[k + 1 :]
-        if dv in UPISH:
-            zones[z_idx : z_idx + 1] = [
-                [zone[0], v, prefix + [("bt", l)]],
-                [v, zone[1], [("bs", l)] + suffix],
-            ]
+        if delta[v] in UPISH:
+            carried[v, 0] = prefix + (("bt", l),)
+            carried[v, 1] = (("bs", l),) + suffix
         else:
-            zone[2] = prefix + [("b", l)] + suffix
-    for zn in zones:
-        labels.append(tuple(zn[2]))
+            carried[v, 0] = prefix + (("b", l),) + suffix
+    labels.extend(
+        route for (v, k), route in carried.items() if tree.parents[v - 1][k] is None
+    )
     clique = frozenset(labels)
     want = len(graph.edges) - (graph.n + 1) + 2
     if len(clique) != want:
@@ -279,8 +266,7 @@ def permutree_clique(tree) -> frozenset:
 def rotation_from_adjacency(delta, cap=None) -> Hasse:
     """Oriented dual adjacency graph of the bicho triangulation; isomorphic to
     the rotation lattice via `permutree_clique`."""
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     graph = build_bic(delta)
     cliques = fl.max_cliques(graph, cap)
     covers = fl.dual_adjacency_covers(graph, cliques)
@@ -332,8 +318,7 @@ def check_conjectures(delta) -> dict:
     the swap instances are reported as witnesses).  Results are reported,
     never asserted as theorems.
     """
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     lhs = count_d_flows(delta)
     report = {
         "delta": str(delta),
@@ -367,10 +352,8 @@ def check_conjectures(delta) -> dict:
 
 def equivariance_holds(delta, other) -> bool:
     """Flow counts agree for decorations sharing none- and updown-positions."""
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
-    if not isinstance(other, Decoration):
-        other = Decoration(other)
+    delta = as_decoration(delta)
+    other = as_decoration(other)
     same = all(
         (a == b) or {a, b} <= {"d", "u"} for a, b in zip(delta.symbols, other.symbols)
     )

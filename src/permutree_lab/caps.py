@@ -1,11 +1,8 @@
 """Size caps for the enumerative operations.
 
-Defaults are desk-scale.  The environment variable ``PERMUTREE_LAB_CAP``
-(a single integer) overrides every default at once; an explicit ``cap=``
-argument on a call site wins over both.
+Defaults are desk-scale; each counts its own unit, and an explicit ``cap=``
+argument (``--cap`` on the command line) raises the one cap a call uses.
 """
-
-import os
 
 from .errors import ResourceCapError
 
@@ -18,20 +15,11 @@ DEFAULT_CAPS = {
 }
 
 
-def get_cap(name, override=None):
-    if override is not None:
-        return int(override)
-    env = os.environ.get("PERMUTREE_LAB_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAPS[name]
-
-
 def require_cap(name, value, override=None):
-    cap = get_cap(name, override)
+    cap = DEFAULT_CAPS[name] if override is None else int(override)
     if value > cap:
         raise ResourceCapError(
             f"{name}: requested size {value} exceeds cap {cap} "
-            f"(raise with cap= or PERMUTREE_LAB_CAP)"
+            f"(raise it with --cap or cap=)"
         )
     return cap

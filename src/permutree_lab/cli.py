@@ -62,8 +62,10 @@ def _parse_set(text):
 
 def _parse_eps(text):
     if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
+        num, den = (int(x) for x in text.split("/"))
+        if den == 0:
+            raise ValidationError(f"--epsilon {text} has a zero denominator")
+        return Fraction(num, den)
     return Fraction(text)
 
 
@@ -90,7 +92,18 @@ def _netflow_from_args(graph, text):
     return tuple(int(x) for x in text.split(","))
 
 
+PERMUTREE_NEEDS = {
+    "count": ["delta"],
+    "lattice": ["delta"],
+    "insert": ["pi", "delta"],
+    "sort": ["pi"],
+}
+
+
 def cmd_permutree(args):
+    missing = [f"--{k}" for k in PERMUTREE_NEEDS[args.verb] if getattr(args, k) is None]
+    if missing:
+        raise ValidationError(f"permutree {args.verb} needs {' and '.join(missing)}")
     if args.verb == "count":
         delta = pt.Decoration(args.delta)
         if args.n and args.n != delta.n:

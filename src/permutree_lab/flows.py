@@ -90,6 +90,10 @@ class FramedGraph:
 
 
 def graph_from_json(data) -> FramedGraph:
+    framed = [e for spec in data["framing"].values() for e in (*spec["in"], *spec["out"])]
+    for e in [edge["id"] for edge in data["edges"]] + framed:
+        if not isinstance(e, str):
+            raise ValidationError(f"edge id {e!r} is not a string")
     edges = {e["id"]: (e["tail"], e["head"]) for e in data["edges"]}
     framing = {
         int(v): {"in": spec["in"], "out": spec["out"]} for v, spec in data["framing"].items()
@@ -189,7 +193,8 @@ def resolvents(graph, p, q):
         iq = next(k for k, e in enumerate(cur_q) if graph.tail(e) == v)
         cur_p, cur_q = cur_p[:ip] + cur_q[iq:], cur_q[:iq] + cur_p[ip:]
     p2, q2 = tuple(cur_p), tuple(cur_q)
-    assert sorted(map(str, p2 + q2)) == sorted(map(str, p + q))
+    if sorted(map(str, p2 + q2)) != sorted(map(str, p + q)):
+        raise AssertionError("resolvents do not conserve the edge multiset")
     return p2, q2
 
 
@@ -396,7 +401,7 @@ def kostant(graph, a) -> int:
     return sum(states.values())
 
 
-def _dominance_compositions(total, parts, mins):
+def dominance_compositions(total, parts, mins):
     """Weak compositions j of `total` with partial sums >= those of `mins`."""
     out = []
     floor = [0] * (parts + 1)
@@ -433,7 +438,7 @@ def lidskii_volume(graph, a) -> int:
     o = [graph.outdegrees()[v] - 1 for v in range(n)]
     total = 0
     mn = factorial(m - n)
-    for j in _dominance_compositions(m - n, n, o):
+    for j in dominance_compositions(m - n, n, o):
         coeff = mn
         term = 1
         for k in range(n):
@@ -466,13 +471,22 @@ def omega(clique, graph):
     flow = {e: len(ps) - 1 for e, ps in prefixes.items()}
     if min(flow.values()) < 0:
         raise ValidationError("clique misses an edge entirely; it cannot be maximal")
+    v = conservation_violation(graph, flow)
+    if v is not None:
+        raise AssertionError(f"omega output violates conservation at v{v}")
+    return flow
+
+
+def conservation_violation(graph, flow):
+    """The first inner vertex where `flow` does not conserve the d-netflow,
+    or None when it conserves it everywhere."""
     d = netflow_d(graph)
     for v in range(1, graph.n):
         into = sum(flow[e] for e in graph.incoming[v])
         outof = sum(flow[e] for e in graph.outgoing[v])
         if into + d[v] != outof:
-            raise AssertionError(f"omega output violates conservation at v{v}")
-    return flow
+            return v
+    return None
 
 
 def flow_key(flow):

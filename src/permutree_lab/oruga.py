@@ -19,6 +19,7 @@ from .s_weak_order import (
     all_words,
     ascents,
     blocks,
+    bumps_to_word,
     check_composition,
     check_word,
     count_s_trees,
@@ -50,26 +51,6 @@ def build_oru(s) -> fl.FramedGraph:
         outs = [("e", k_out, 0), ("e", k_out, s[k_out - 1])]
         framing[v] = {"in": ins, "out": outs}
     return fl.FramedGraph(n + 1, edges, framing)
-
-
-def contracted_oru(s) -> fl.FramedGraph:
-    """Test utility: oru(s) with the edge (v_-1, v_0) contracted."""
-    s = check_composition(s, strict=True)
-    n = len(s)
-    edges = {}
-    for k in range(1, n + 1):
-        for t in range(1, s[k - 1]):
-            edges[("e", k, t)] = (0, n + 1 - k)
-        edges[("e", k, 0)] = (n - k, n + 1 - k)
-        edges[("e", k, s[k - 1])] = (n - k, n + 1 - k)
-    framing = {}
-    for v in range(1, n):
-        k_in = n + 1 - v
-        ins = [("e", k_in, t) for t in range(s[k_in - 1] + 1) if ("e", k_in, t) in edges]
-        k_out = n - v
-        outs = [("e", k_out, 0), ("e", k_out, s[k_out - 1])]
-        framing[v] = {"in": ins, "out": outs}
-    return fl.FramedGraph(n, edges, framing)
 
 
 def oru_route(s, k, t, bits):
@@ -132,28 +113,12 @@ def word_to_flow(w, s):
     return flow
 
 
-def bumps_to_word(bumps, s):
-    """Insertion: place the copies of v at gap `bumps[v]` of the word so far."""
-    s = check_composition(s, strict=True)
-    n = len(s)
-    word = [n] * s[n - 1]
-    for v in range(n - 1, 0, -1):
-        k = bumps[v]
-        if not 0 <= k <= len(word):
-            raise ValidationError(f"bump flow {k} at level {v} out of range")
-        word[k:k] = [v] * s[v - 1]
-    return tuple(word)
-
-
 def flow_to_word(flow, s):
     """Inverse of `word_to_flow`; checks conservation first."""
-    graph = build_oru(s)
-    d = fl.netflow_d(graph)
-    for v in range(1, graph.n):
-        into = sum(flow[e] for e in graph.incoming[v])
-        outof = sum(flow[e] for e in graph.outgoing[v])
-        if into + d[v] != outof:
-            raise ValidationError(f"flow violates conservation at vertex {v}")
+    s = check_composition(s, strict=True)
+    v = fl.conservation_violation(build_oru(s), flow)
+    if v is not None:
+        raise ValidationError(f"flow violates conservation at vertex {v}")
     n = len(s)
     return bumps_to_word({i: flow[("e", i, 0)] for i in range(1, n)}, s)
 
@@ -260,7 +225,8 @@ def delta_w(w, s):
         if i < len(w):
             counts[w[i] - 1] += 1
     clique = frozenset(routes)
-    assert len(clique) == sum(s) + 1
+    if len(clique) != sum(s) + 1:
+        raise AssertionError(f"delta_w of {w} has {len(clique)} routes, not {sum(s) + 1}")
     return clique
 
 
@@ -461,7 +427,8 @@ def _gbinom(m, k) -> int:
     for i in range(1, k + 1):
         den *= i
     q, r = divmod(num, den)
-    assert r == 0
+    if r != 0:
+        raise AssertionError(f"C({m}, {k}) is not an integer")
     return q
 
 
@@ -479,8 +446,7 @@ def lidskii_identities(s) -> dict:
     n = len(s)
     lhs = count_s_trees(s)
     rhs1 = rhs2 = 0
-    comps = _dominant_compositions(n - 1)
-    for j in comps:
+    for j in fl.dominance_compositions(n - 1, n - 1, (1,) * (n - 1)):
         inner = 1
         part = 0
         for i in range(1, n):
@@ -501,23 +467,3 @@ def lidskii_identities(s) -> dict:
         "second_sum": rhs2,
         "equal": lhs == rhs1 == rhs2,
     }
-
-
-def _dominant_compositions(parts):
-    """Weak compositions of `parts` into `parts` slots with partial sums >= i."""
-    out = []
-
-    def rec(acc, used):
-        i = len(acc)
-        if i == parts:
-            if used == parts:
-                out.append(tuple(acc))
-            return
-        for v in range(parts - used + 1):
-            if used + v >= i + 1:
-                rec(acc + [v], used + v)
-
-    if parts == 0:
-        return [()]
-    rec([], 0)
-    return out

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .caps import require_cap
 from .errors import ValidationError
-from .posets import Hasse
+from .posets import Hasse, hasse_by_bfs
 from .weak_order import (
     all_perms,
     check_perm,
@@ -81,6 +81,11 @@ class Decoration:
             if rank[a] > rank[b] or (rank[a] == 1 == rank[b] and a != b):
                 return False
         return True
+
+
+def as_decoration(delta) -> Decoration:
+    """`delta` itself when it is a Decoration, else the Decoration of its symbols."""
+    return delta if isinstance(delta, Decoration) else Decoration(delta)
 
 
 def parse_decoration(text) -> Decoration:
@@ -245,8 +250,7 @@ def insert(pi, delta) -> Permutree:
     this map are exactly the congruence classes of the decoration.
     """
     pi = check_perm(pi)
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     n = len(pi)
     if delta.n != n:
         raise ValidationError(f"decoration size {delta.n} != permutation size {n}")
@@ -343,14 +347,12 @@ def _tree_from_pairs(pairs, delta) -> Permutree:
 
 def bottom(delta) -> Permutree:
     """Minimal permutree: i -> i+1 for all i, empty inversion set."""
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     return insert(identity(delta.n), delta)
 
 
 def top(delta) -> Permutree:
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     n = delta.n
     full = frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
     return _tree_from_pairs(full, delta)
@@ -378,25 +380,13 @@ def increasing_rotations(tree):
 
 def rotation_lattice(delta, cap=None) -> Hasse:
     """Hasse diagram of the rotation order, built by BFS from the bottom tree."""
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     require_cap("rotation_lattice_n", delta.n, cap)
-    start = bottom(delta)
-    seen = {start}
-    frontier = [start]
-    covers = []
-    while frontier:
-        nxt = []
-        for tree in frontier:
-            for edge in increasing_rotations(tree):
-                other = rotate(tree, edge)
-                covers.append((tree, other))
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    elems = sorted(seen, key=lambda t: (len(t.inversion_pairs()), sorted(t.inversion_pairs())))
-    return Hasse(elems, set(covers))
+    return hasse_by_bfs(
+        bottom(delta),
+        lambda tree: [rotate(tree, edge) for edge in increasing_rotations(tree)],
+        key=lambda t: (len(t.inversion_pairs()), sorted(t.inversion_pairs())),
+    )
 
 
 def count_permutrees(delta) -> int:
@@ -407,8 +397,7 @@ def count_permutrees(delta) -> int:
     strips the topmost node (a chain of 'n' roots, then a 'd' root splitting
     by labels).
     """
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     total = 1
     for section in updown_sections(delta):
         flipped = tuple("d" if c == "u" else c for c in section)
@@ -450,8 +439,7 @@ def _count_section(sec) -> int:
 
 def insertion_fibers(delta):
     """Partition of S_n into insertion fibers, as {tree: sorted list of perms}."""
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     fibers = {}
     for pi in all_perms(delta.n):
         fibers.setdefault(insert(pi, delta), []).append(pi)

@@ -115,6 +115,24 @@ class Hasse:
         return {"nodes": sorted(nodes), "edges": edges}
 
 
+def hasse_by_bfs(bottom, up_covers, key=None) -> Hasse:
+    """Hasse diagram of everything above `bottom`, found by BFS over the
+    covers `up_covers(x)` and listed sorted by `key`."""
+    seen = {bottom}
+    frontier = [bottom]
+    covers = []
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in up_covers(x):
+                covers.append((x, y))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return Hasse(sorted(seen, key=key), set(covers))
+
+
 def isomorphic_via(hasse_a, hasse_b, mapping):
     """Check that `mapping` is a poset isomorphism (on Hasse diagrams)."""
     if len(hasse_a) != len(hasse_b):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .caps import require_cap
 from .errors import ValidationError
-from .posets import Hasse
+from .posets import Hasse, hasse_by_bfs
 
 Word = tuple
 
@@ -233,10 +233,6 @@ def inversion_multiset(w, s):
     return out
 
 
-def multiset_key(m, n):
-    return tuple(m[(c, a)] for a in range(1, n) for c in range(a + 1, n + 1))
-
-
 def transitivity_ok(m, s):
     n = len(s)
     for a in range(1, n - 1):
@@ -272,16 +268,26 @@ def validate_multiset(m, s):
     return m
 
 
+def bumps_to_word(bumps, s) -> Word:
+    """Gap insertion: place the copies of v at gap `bumps[v]` of the word so
+    far, for v = n-1, ..., 1; `s` is a checked strict composition."""
+    n = len(s)
+    word = [n] * s[n - 1]
+    for v in range(n - 1, 0, -1):
+        k = bumps[v]
+        if not 0 <= k <= len(word):
+            raise ValidationError(f"bump flow {k} at level {v} out of range")
+        word[k:k] = [v] * s[v - 1]
+    return tuple(word)
+
+
 def word_from_multiset(m, s) -> Word:
     """Decode a valid inversion multiset: bump counts are its column sums."""
     s = check_composition(s, strict=True)
     n = len(s)
     validate_multiset(m, s)
     bumps = {a: sum(m[(c, a)] for c in range(a + 1, n + 1)) for a in range(1, n)}
-    word = [n] * s[n - 1]
-    for v in range(n - 1, 0, -1):
-        word[bumps[v] : bumps[v]] = [v] * s[v - 1]
-    w = tuple(word)
+    w = bumps_to_word(bumps, s)
     if inversion_multiset(w, s) != dict(m):
         raise ValidationError("multiset does not arise from a Stirling s-permutation")
     return w
@@ -313,7 +319,8 @@ def transpose_ascent(w, pair, s) -> Word:
     if (a, c) not in ascents(w):
         raise ValidationError(f"({a},{c}) is not an ascent of {w}")
     start, end = blocks(w)[a]
-    assert w[end + 1] == c
+    if w[end + 1] != c:
+        raise AssertionError(f"the {a}-block of {w} is not followed by {c}")
     return w[:start] + (c,) + w[start : end + 1] + w[end + 2 :]
 
 
@@ -403,22 +410,9 @@ def s_hasse(s, cap=None) -> Hasse:
     """Hasse diagram of the s-weak order via ascent transpositions."""
     s = check_composition(s, strict=True)
     require_cap("s_hasse_total", sum(s), cap)
-    start = sorted_word(s)
-    seen = {start}
-    frontier = [start]
-    covers = []
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for pair in ascents(w):
-                w2 = transpose_ascent(w, pair, s)
-                covers.append((w, w2))
-                if w2 not in seen:
-                    seen.add(w2)
-                    nxt.append(w2)
-        frontier = nxt
-    elems = sorted(seen)
-    return Hasse(elems, set(covers))
+    return hasse_by_bfs(
+        sorted_word(s), lambda w: [transpose_ascent(w, pair, s) for pair in ascents(w)]
+    )
 
 
 def join_candidate(w1, w2, s):

@@ -11,7 +11,7 @@ meet; cubic vectors embed the rotation lattice into the box
 from __future__ import annotations
 
 from .errors import ValidationError
-from .permutree import DOWNISH, Decoration, Permutree, _tree_from_pairs, rotation_lattice
+from .permutree import DOWNISH, Permutree, _tree_from_pairs, as_decoration, rotation_lattice
 from .weak_order import cotransitivity_witness, transitivity_witness
 
 
@@ -56,8 +56,7 @@ def validate_inversion_set(pairs, delta):
 
 def permutree_from_inversion_set(pairs, delta) -> Permutree:
     """Inverse of `inversion_set`: grid placement of the values, then insertion."""
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     pairs = validate_inversion_set(pairs, delta)
     return _tree_from_pairs(pairs, delta)
 
@@ -109,8 +108,7 @@ def extremal_permutree(delta, corner) -> Permutree:
     Built by stacking the corner-0 values increasingly at the bottom of the
     table, then v_n, then the maximal values decreasingly on top.
     """
-    if not isinstance(delta, Decoration):
-        delta = Decoration(delta)
+    delta = as_decoration(delta)
     n = delta.n
     corner = tuple(corner)
     if len(corner) != n - 1:

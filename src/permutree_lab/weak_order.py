@@ -181,7 +181,8 @@ def lattice_meet_join(pi, sigma):
     meet = perm_from_inversions(meet_inv, n)
     join = perm_from_inversions(join_inv, n)
     for bound in (pi, sigma):
-        assert weak_leq(meet, bound) and weak_leq(bound, join)
+        if not (weak_leq(meet, bound) and weak_leq(bound, join)):
+            raise AssertionError(f"closure candidates do not bound {bound}")
     return meet, join
 
 

@@ -1,8 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from permutree_lab import cli
+from permutree_lab import flows as fl
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -115,7 +120,7 @@ def test_bicho_verbs(capsys):
     assert data["vertices"] == 4 and len(data["edges"]) == 6
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "permutree", "lattice", "--delta", "n" * 10)
     assert code == 2 and "cap" in err
     code, _, err = run_cli(capsys, "permutree", "insert", "--pi", "1231", "--delta", "nnnn")
@@ -124,12 +129,31 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "flows", "routes", "--json")
     assert code == 1  # no graph source given
+    bad_graph = ROOT / "perfbench" / "data" / "graph_list_id.json"  # a list as edge id
+    data = fl.example_graph().to_json()  # a list in the framing that str() matches
+    data["edges"][0]["id"] = "['a']"
+    data["framing"]["1"]["in"][0] = ["a"]
+    bad_framing = tmp_path / "framing.json"
+    bad_framing.write_text(json.dumps(data))
+    for argv in [
+        ("permutree", "count"),
+        ("permutree", "lattice"),
+        ("permutree", "insert", "--pi", "231"),
+        ("permutree", "insert", "--delta", "nnn"),
+        ("permutree", "sort"),
+        ("sorder", "realize", "--s", "1,2,1", "--epsilon", "1/0"),
+        ("flows", "routes", "--graph", str(bad_graph)),
+        ("flows", "routes", "--graph", str(bad_framing)),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert len(err.splitlines()) == 1 and "invalid input" in err, argv
 
 
-def test_cap_flag_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("PERMUTREE_LAB_CAP", "3")
-    code, _, err = run_cli(capsys, "permutree", "lattice", "--delta", "nnnn")
+def test_cap_flag_overrides(capsys):
+    code, _, err = run_cli(capsys, "permutree", "lattice", "--delta", "nnnn", "--cap", "3")
     assert code == 2
+    assert "rotation_lattice_n" in err and "size 4" in err and "--cap" in err
     code, out, _ = run_cli(
         capsys, "permutree", "lattice", "--delta", "nnnn", "--cap", "4", "--json"
     )
@@ -143,3 +167,15 @@ def test_verify_quick(capsys):
     assert "[PASS]" in out and "FAIL" not in out
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 1
+
+
+def test_golden_stdout_digests(capsys, monkeypatch):
+    """Every CLI request the benchmark checks prints byte-identical stdout."""
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["cli"]
+    monkeypatch.chdir(ROOT)  # the --graph requests name files relative to the root
+    differ = []
+    for request, digest in golden.items():
+        _, out, _ = run_cli(capsys, *request.split())
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            differ.append(request)
+    assert differ == []

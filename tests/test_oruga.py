@@ -36,13 +36,6 @@ def test_framing_orders():
     assert G.framing[v]["out"] == [("e", 1, 0), ("e", 1, 2)]
 
 
-def test_contracted_oru_matches():
-    for s in [(1, 1, 1), (1, 2, 1), (2, 2)]:
-        G1, G2 = og.build_oru(s), og.contracted_oru(s)
-        assert fl.kostant(G1, fl.netflow_d(G1)) == fl.kostant(G2, fl.netflow_d(G2))
-        assert len(fl.routes(G1)) == len(fl.routes(G2))
-
-
 def test_word_flow_bijection_running_example():
     f = og.word_to_flow(RUN_W, RUN_S)
     assert [f[("e", i, 0)] for i in range(1, 7)] == [9, 3, 0, 2, 1, 2]
