@@ -176,28 +176,6 @@ def avoids_all(pi, U, D) -> bool:
     )
 
 
-def _search_accepted(pi, automaton):
-    """Depth-first search for a reduced word of pi avoiding dead states."""
-    failed = set()
-
-    def rec(p, state):
-        if p == identity(len(p)):
-            return True
-        key = (p, state)
-        if key in failed:
-            return False
-        for l in left_descents(p):
-            nxt = automaton.step(state, l)
-            if automaton.classify[nxt] == DEAD:
-                continue
-            if rec(left_mult(p, l), nxt):
-                return True
-        failed.add(key)
-        return False
-
-    return rec(pi, automaton.initial)
-
-
 def exists_accepted_word(pi, U, D) -> bool:
     """True iff pi has a reduced word accepted by P(U, D).
 
@@ -207,7 +185,8 @@ def exists_accepted_word(pi, U, D) -> bool:
     pi = check_perm(pi)
     U, D = _check_disjoint(U, D)
     by_pattern = avoids_all(pi, U, D)
-    by_search = _search_accepted(pi, product(U, D, len(pi)))
+    aut = product(U, D, len(pi))
+    by_search = lex_min_accepted_word(pi, aut, range(1, len(pi))) is not None
     if by_pattern != by_search:
         raise AssertionError(f"pattern scan and word search disagree on {pi}, U={sorted(U)}, D={sorted(D)}")
     return by_pattern

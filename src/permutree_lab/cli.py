@@ -52,21 +52,35 @@ def _emit_table(data, indent=""):
         print(f"{indent}{data}")
 
 
-def _parse_s(text):
-    return tuple(int(x) for x in text.split(","))
+def _int_list(flag, text):
+    """The integers of the comma list given to `flag`."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"{flag} {text!r} is not a list of integers") from None
 
 
-def _parse_set(text):
-    return frozenset(int(x) for x in text.split(",")) if text else frozenset()
+def _parse_set(flag, text):
+    return frozenset(_int_list(flag, text)) if text else frozenset()
+
+
+def _parse_pi(text):
+    """--pi as digits or as a comma list."""
+    try:
+        return wo.parse_perm(text)
+    except ValidationError:
+        raise
+    except ValueError:
+        raise ValidationError(f"--pi {text!r} is not a list of integers") from None
 
 
 def _parse_eps(text):
-    if "/" in text:
-        num, den = (int(x) for x in text.split("/"))
-        if den == 0:
-            raise ValidationError(f"--epsilon {text} has a zero denominator")
-        return Fraction(num, den)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValidationError(f"--epsilon {text!r} is not an exact rational such as 1/100") from None
+    except ZeroDivisionError:
+        raise ValidationError(f"--epsilon {text} has a zero denominator") from None
 
 
 def _graph_from_args(args):
@@ -74,7 +88,7 @@ def _graph_from_args(args):
     if count != 1:
         raise ValidationError("give exactly one of --s, --delta, --graph")
     if args.s:
-        return og.build_oru(_parse_s(args.s))
+        return og.build_oru(_int_list("--s", args.s))
     if args.delta:
         return bi.build_bic(pt.Decoration(args.delta))
     try:
@@ -89,7 +103,7 @@ def _netflow_from_args(graph, text):
         return fl.netflow_i(graph)
     if text == "d":
         return fl.netflow_d(graph)
-    return tuple(int(x) for x in text.split(","))
+    return _int_list("--netflow", text)
 
 
 PERMUTREE_NEEDS = {
@@ -113,15 +127,16 @@ def cmd_permutree(args):
         lat = pt.rotation_lattice(pt.Decoration(args.delta), cap=args.cap)
         _emit(pt.lattice_to_json(lat), args)
     elif args.verb == "insert":
-        tree = pt.insert(wo.parse_perm(args.pi), pt.Decoration(args.delta))
+        tree = pt.insert(_parse_pi(args.pi), pt.Decoration(args.delta))
         _emit(tree.to_json(), args)
     elif args.verb == "sort":
-        out = am.permutree_sort(wo.parse_perm(args.pi), _parse_set(args.U), _parse_set(args.D))
+        U, D = _parse_set("--U", args.U), _parse_set("--D", args.D)
+        out = am.permutree_sort(_parse_pi(args.pi), U, D)
         _emit(
             {
                 "pi": args.pi,
-                "U": sorted(_parse_set(args.U)),
-                "D": sorted(_parse_set(args.D)),
+                "U": sorted(U),
+                "D": sorted(D),
                 "word": ",".join(str(l) for l in out.word),
                 "sorted": out.sorted,
                 "residual": wo.serialize(out.residual),
@@ -135,19 +150,18 @@ def cmd_permutree(args):
 
 
 def cmd_sorder(args):
+    s = _int_list("--s", args.s)
     if args.verb == "count":
-        s = _parse_s(args.s)
         _emit({"s": list(s), "count": sw.count_s_trees(s)}, args)
     elif args.verb == "hasse":
-        H = sw.s_hasse(_parse_s(args.s), cap=args.cap)
+        H = sw.s_hasse(s, cap=args.cap)
         _emit(H.to_json(key=sw.serialize_word), args)
     elif args.verb == "realize":
-        s = _parse_s(args.s)
         eps = _parse_eps(args.epsilon) if args.epsilon else None
         real = og.realize(s, eps)
         _emit(real.to_json(approx=args.approx), args)
     elif args.verb == "identities":
-        _emit(og.lidskii_identities(_parse_s(args.s)), args)
+        _emit(og.lidskii_identities(s), args)
 
 
 def cmd_flows(args):

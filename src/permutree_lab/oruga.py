@@ -123,41 +123,6 @@ def flow_to_word(flow, s):
     return bumps_to_word({i: flow[("e", i, 0)] for i in range(1, n)}, s)
 
 
-def flow_to_tree(flow_or_bumps, s):
-    """Grafting construction; works for weak compositions as well."""
-    s = check_composition(s)
-    n = len(s)
-    if n == 0:
-        return None
-    bumps = dict(flow_or_bumps)
-    if bumps and not isinstance(next(iter(bumps)), int):
-        bumps = {i: flow_or_bumps[("e", i, 0)] for i in range(1, n)}
-    tree = (n, (None,) * (s[n - 1] + 1))
-
-    def graft(t, target, new, counter):
-        label, children = t
-        cs = list(children)
-        for idx, ch in enumerate(cs):
-            if ch is None:
-                if counter[0] == target:
-                    cs[idx] = new
-                    counter[0] += 1
-                    return (label, tuple(cs)), True
-                counter[0] += 1
-            else:
-                cs[idx], done = graft(ch, target, new, counter)
-                if done:
-                    return (label, tuple(cs)), True
-        return (label, tuple(cs)), False
-
-    for v in range(n - 1, 0, -1):
-        node = (v, (None,) * (s[v - 1] + 1))
-        tree, done = graft(tree, bumps[v], node, [0])
-        if not done:
-            raise ValidationError(f"graft position {bumps[v]} out of range at node {v}")
-    return tree
-
-
 def tree_to_flow(tree, s):
     """Bump flows of a tree: leaf index at grafting time, per node.
 
@@ -194,21 +159,32 @@ def tree_to_flow(tree, s):
 _route_intern = {}
 
 
-def _prefix_route(counts, s):
+def prefix_route(counts, s):
+    """R[u] for a prefix u of a word with letter counts `counts`.
+
+    c is the first level whose block u has started but not finished (n+1
+    when there is none).  The route enters level c by the source e^c_t, t the
+    count of c (t = 1 for c = n+1).  At each level a < c it takes the edge
+    e^a_{count of a}: the bump when u has no a (count 0), the dip when u has
+    the whole a-block (count s_a).  `s` is a checked strict composition.
+    """
     n = len(s)
     c = next((v for v in range(1, n + 1) if 0 < counts[v - 1] < s[v - 1]), n + 1)
-    t = 1 if c == n + 1 else counts[c - 1]
-    bits = tuple(1 if counts[a - 1] else 0 for a in range(1, c))
-    route = oru_route(s, c, t, bits)
+    route = (("e", c, 1 if c == n + 1 else counts[c - 1]),) + tuple(
+        ("e", a, counts[a - 1]) for a in range(c - 1, 0, -1)
+    )
     return _route_intern.setdefault(route, route)
 
 
-def prefix_route(w, s, length):
-    """R[w_{[length]}]: the route attached to a prefix of a word."""
-    counts = [0] * (len(s) + 1)
-    for v in tuple(w)[:length]:
+def prefix_routes(w, s):
+    """R[w_[0]], ..., R[w_[|w|]]: the route of each prefix of a checked word
+    `w`, shortest first."""
+    counts = [0] * len(s)
+    routes = [prefix_route(counts, s)]
+    for v in w:
         counts[v - 1] += 1
-    return _prefix_route(counts, s)
+        routes.append(prefix_route(counts, s))
+    return routes
 
 
 def delta_w(w, s):
@@ -218,13 +194,7 @@ def delta_w(w, s):
     routes in total.
     """
     w = check_word(w, s)
-    routes = []
-    counts = [0] * (len(s) + 1)
-    for i in range(len(w) + 1):
-        routes.append(_prefix_route(counts, s))
-        if i < len(w):
-            counts[w[i] - 1] += 1
-    clique = frozenset(routes)
+    clique = frozenset(prefix_routes(w, s))
     if len(clique) != sum(s) + 1:
         raise AssertionError(f"delta_w of {w} has {len(clique)} routes, not {sum(s) + 1}")
     return clique
@@ -240,14 +210,9 @@ def face_simplex(w, A, s):
         raise ValidationError(f"A must be a set of ascents of {w}")
     spans = blocks(w)
     cut_lengths = {spans[a][1] + 1 for (a, c) in A}
-    keep = []
-    counts = [0] * (len(s) + 1)
-    for i in range(len(w) + 1):
-        if i not in cut_lengths:
-            keep.append(_prefix_route(counts, s))
-        if i < len(w):
-            counts[w[i] - 1] += 1
-    return frozenset(keep)
+    return frozenset(
+        r for i, r in enumerate(prefix_routes(w, s)) if i not in cut_lengths
+    )
 
 
 def hasse_from_adjacency(s, cap=None) -> Hasse:
@@ -269,21 +234,18 @@ def hasse_from_adjacency(s, cap=None) -> Hasse:
 # --- heights and the tropical realization ------------------------------------
 
 
-def oruga_height(route_or_params, s, eps) -> Fraction:
+def oruga_height(route, s, eps) -> Fraction:
     """h_eps(R) = -sum_{k >= c > a >= 1} eps^(c-a) (t_c + delta_a)^2, exact.
 
-    Coincides with the generic framed-graph height on oru(s).
+    This is not the generic framed-graph height `flows.dkk_height`, which
+    sums over pairs of route edges instead of levels: on s = (1, 1) at
+    eps = 1/10 the all-bump route has height -11/100 here and 0 there.
     """
     s = check_composition(s, strict=True)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    if isinstance(route_or_params, tuple) and route_or_params and isinstance(
-        route_or_params[0], tuple
-    ):
-        k, t, bits = route_params(route_or_params, s)
-    else:
-        k, t, bits = route_or_params
+    k, t, bits = route_params(route, s)
     levels = {k: t}
     for a in range(1, k):
         levels[a] = s[a - 1] if bits[a - 1] else 0
@@ -351,21 +313,15 @@ class Realization:
         }
 
 
-def vertex_coordinates(w, s, eps):
-    """v(w)_a: telescoping height differences around each occurrence of a."""
+def vertex_coordinates(w, s, hs):
+    """v(w)_a: telescoping height differences around each occurrence of a.
+
+    `hs[k]` is the height of the route of the length-k prefix of `w`.
+    """
     w = check_word(w, s)
-    n = len(s)
-    heights = {}
-
-    def h(length):
-        if length not in heights:
-            heights[length] = oruga_height(prefix_route(w, s, length), s, eps)
-        return heights[length]
-
-    coords = []
-    for a in range(1, n + 1):
-        occ = [k for k, v in enumerate(w) if v == a]
-        coords.append(sum(h(k) - h(k + 1) for k in occ))
+    coords = [Fraction(0)] * len(s)
+    for k, v in enumerate(w):
+        coords[v - 1] += hs[k] - hs[k + 1]
     return tuple(coords)
 
 
@@ -385,19 +341,16 @@ def realize(s, eps=None) -> Realization:
             f"eps={eps} is not admissible for s={s}", witness=witness
         )
     words = all_words(s)
-    vertices = {w: vertex_coordinates(w, s, eps) for w in words}
+    prefix_heights = {w: [h[r] for r in prefix_routes(w, s)] for w in words}
+    vertices = {w: vertex_coordinates(w, s, prefix_heights[w]) for w in words}
     edges = []
     for w in words:
         spans = blocks(w)
+        hw = prefix_heights[w]
         for (a, c) in ascents(w):
             w2 = transpose_ascent(w, (a, c), s)
             start, end = spans[a]
-            lam = (
-                h[prefix_route(w2, s, start + 1)]
-                + h[prefix_route(w, s, end + 1)]
-                - h[prefix_route(w, s, start)]
-                - h[prefix_route(w, s, end + 2)]
-            )
+            lam = prefix_heights[w2][start + 1] + hw[end + 1] - hw[start] - hw[end + 2]
             if lam <= 0:
                 raise AssertionError(f"edge scalar not positive at {w} + {(a, c)}")
             diff = tuple(x - y for x, y in zip(vertices[w2], vertices[w]))

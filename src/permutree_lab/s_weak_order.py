@@ -9,6 +9,8 @@ counting occurrences of c before the a-block.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .caps import require_cap
 from .errors import ValidationError
 from .posets import Hasse, hasse_by_bfs
@@ -78,48 +80,18 @@ def check_tree(tree, s):
     return tree
 
 
+def bump_vectors(s):
+    """Every bump vector {v: b_v} with 0 <= b_v <= s_{v+1} + ... + s_n, for
+    v = 1, ..., n-1; `s` is a checked composition."""
+    levels = range(len(s) - 1, 0, -1)
+    for combo in product(*(range(sum(s[v:]) + 1) for v in levels)):
+        yield dict(zip(levels, combo))
+
+
 def all_s_trees(s):
     """Every s-decreasing tree, built by grafting n-1, ..., 1 onto leaf gaps."""
     s = check_composition(s)
-    n = len(s)
-    if n == 0:
-        return [None]
-
-    def leaves(t):
-        # leaf positions in in-order, as paths (child indices from the root)
-        out = []
-
-        def rec(t, path):
-            label, children = t
-            for k, ch in enumerate(children):
-                if ch is None:
-                    out.append(path + (k,))
-                else:
-                    rec(ch, path + (k,))
-
-        rec(t, ())
-        return out
-
-    def graft(t, path, new):
-        if len(path) == 1:
-            label, children = t
-            cs = list(children)
-            cs[path[0]] = new
-            return (label, tuple(cs))
-        label, children = t
-        cs = list(children)
-        cs[path[0]] = graft(cs[path[0]], path[1:], new)
-        return (label, tuple(cs))
-
-    trees = [(n, (None,) * (s[n - 1] + 1))]
-    for label in range(n - 1, 0, -1):
-        nxt = []
-        node = (label, (None,) * (s[label - 1] + 1))
-        for t in trees:
-            for path in leaves(t):
-                nxt.append(graft(t, path, node))
-        trees = nxt
-    return trees
+    return [bumps_to_tree(b, s) for b in bump_vectors(s)]
 
 
 def tree_to_word(tree, s) -> Word:
@@ -203,7 +175,8 @@ def reverse_sorted_word(s) -> Word:
 
 
 def all_words(s):
-    return sorted(tree_to_word(t, s) for t in all_s_trees(s))
+    s = check_composition(s, strict=True)
+    return sorted(bumps_to_word(b, s) for b in bump_vectors(s))
 
 
 def blocks(w):
@@ -272,13 +245,46 @@ def bumps_to_word(bumps, s) -> Word:
     """Gap insertion: place the copies of v at gap `bumps[v]` of the word so
     far, for v = n-1, ..., 1; `s` is a checked strict composition."""
     n = len(s)
-    word = [n] * s[n - 1]
+    word = [n] * s[n - 1] if n else []
     for v in range(n - 1, 0, -1):
         k = bumps[v]
         if not 0 <= k <= len(word):
             raise ValidationError(f"bump flow {k} at level {v} out of range")
         word[k:k] = [v] * s[v - 1]
     return tuple(word)
+
+
+def _graft(tree, k, new):
+    """Put `new` on leaf k, counted in in-order, of `tree`.  Returns the new
+    tree and k less the leaves passed, which is negative once grafted."""
+    label, children = tree
+    cs = list(children)
+    for i, ch in enumerate(cs):
+        if ch is None:
+            if k == 0:
+                cs[i] = new
+                return (label, tuple(cs)), -1
+            k -= 1
+        else:
+            cs[i], k = _graft(ch, k, new)
+            if k < 0:
+                break
+    return (label, tuple(cs)), k
+
+
+def bumps_to_tree(bumps, s):
+    """Grafting: node v goes on leaf `bumps[v]` of the tree so far, for
+    v = n-1, ..., 1; `s` is a checked composition, zeros allowed."""
+    n = len(s)
+    if n == 0:
+        return None
+    tree = (n, (None,) * (s[n - 1] + 1))
+    for v in range(n - 1, 0, -1):
+        k = bumps[v]
+        if not 0 <= k <= sum(s[v:]):
+            raise ValidationError(f"graft position {k} out of range at node {v}")
+        tree, _ = _graft(tree, k, (v, (None,) * (s[v - 1] + 1)))
+    return tree
 
 
 def word_from_multiset(m, s) -> Word:

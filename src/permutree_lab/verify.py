@@ -254,7 +254,9 @@ def criterion_6(level="full"):
                 avoid = am.avoids_all(pi, U, D)
                 if not (sortable == runs_ok == avoid):
                     return _result(6, "coxeter sorting", False, f"{pi} c={c}")
-                if n <= 5 and am._search_accepted(pi, aut) != avoid:
+                if n <= 5 and avoid != (
+                    am.lex_min_accepted_word(pi, aut, range(1, n)) is not None
+                ):
                     return _result(6, "coxeter sorting", False, f"search {pi} c={c}")
                 count += sortable
             if count != catalan:

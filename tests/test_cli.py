@@ -148,6 +148,20 @@ def test_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert len(err.splitlines()) == 1 and "invalid input" in err, argv
+    for flag, bad, argv in [
+        ("--epsilon", "1/2/3", ("sorder", "realize", "--s", "1,2,1")),
+        ("--epsilon", "abc", ("sorder", "realize", "--s", "1,2,1")),
+        ("--s", "", ("sorder", "identities")),
+        ("--s", "1,,2", ("flows", "routes")),
+        ("--U", "2,y", ("permutree", "sort", "--pi", "3421")),
+        ("--D", "x", ("permutree", "sort", "--pi", "3421")),
+        ("--netflow", "1,2,z", ("flows", "kostant", "--s", "1,2,1")),
+        ("--pi", "3,x,1", ("permutree", "sort")),
+        ("--pi", "3a1", ("permutree", "insert", "--delta", "nnn")),
+    ]:
+        code, out, err = run_cli(capsys, *argv, flag, bad)
+        assert (code, out) == (1, ""), (flag, bad)
+        assert len(err.splitlines()) == 1 and f"{flag} {bad!r}" in err, (flag, bad)
 
 
 def test_cap_flag_overrides(capsys):

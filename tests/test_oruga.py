@@ -67,14 +67,19 @@ def test_tree_flow_roundtrip_weak(s):
     seen = set()
     for t in trees:
         bumps = og.tree_to_flow(t, s)
-        assert og.flow_to_tree(bumps, s) == t
+        assert sw.bumps_to_tree(bumps, s) == t
         seen.add(tuple(sorted(bumps.items())))
     assert len(seen) == len(trees) == sw.count_s_trees(s)
 
 
 def test_zero_flow_left_comb():
-    tree = og.flow_to_tree({1: 0, 2: 0}, (1, 2, 1))
+    tree = sw.bumps_to_tree({1: 0, 2: 0}, (1, 2, 1))
     assert tree == (3, ((2, ((1, (None, None)), None, None)), None))
+    # Node v grafts on one of the 1 + s_{v+1} + ... + s_n leaves so far.
+    sw.bumps_to_tree({1: 3, 2: 1}, (1, 2, 1))
+    for bad in ({1: 0, 2: 2}, {1: 4, 2: 1}, {1: -1, 2: 0}):
+        with pytest.raises(ValidationError):
+            sw.bumps_to_tree(bad, (1, 2, 1))
 
 
 def test_delta_w_properties():
@@ -203,6 +208,43 @@ def test_realize_s11_edge():
     R = og.realize((1, 1), Fraction(1, 10))
     diff = tuple(a - b for a, b in zip(R.vertices[(2, 1)], R.vertices[(1, 2)]))
     assert diff == (Fraction(1, 5), Fraction(-1, 5))
+
+
+def _compositions(total):
+    """Every strict composition of `total`."""
+    if total == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, total + 1) for rest in _compositions(total - k)]
+
+
+def test_prefix_routes_match_oru_route():
+    for total in range(1, 7):
+        for s in _compositions(total):
+            n = len(s)
+            for w in sw.all_words(s):
+                routes = og.prefix_routes(w, s)
+                assert len(routes) == len(w) + 1
+                for length, route in enumerate(routes):
+                    counts = [w[:length].count(v) for v in range(1, n + 1)]
+                    c = next((v for v in range(1, n + 1) if 0 < counts[v - 1] < s[v - 1]), n + 1)
+                    t = 1 if c == n + 1 else counts[c - 1]
+                    bits = tuple(1 if counts[a - 1] else 0 for a in range(1, c))
+                    assert route == og.oru_route(s, c, t, bits), (s, w, length)
+
+
+def test_realize_computes_each_height_once(monkeypatch):
+    calls = []
+    height = og.oruga_height
+
+    def counted(route, s, eps):
+        calls.append(route)
+        return height(route, s, eps)
+
+    monkeypatch.setattr(og, "oruga_height", counted)
+    for s in [(1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]:
+        calls.clear()
+        og.realize(s)
+        assert len(calls) == len(set(calls)) == len(fl.routes(og.build_oru(s)))
 
 
 def test_realize_counts_and_hyperplane():

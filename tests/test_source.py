@@ -1,7 +1,10 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "permutree_lab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "permutree_lab"
 
 
 def test_no_bare_asserts():
@@ -17,3 +20,16 @@ def test_no_bare_asserts():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_benchmark_selftest():
+    """The benchmark's own tests pass, among them that the workloads reach
+    every library function the tracer wraps, so a renamed or unreached
+    traced function fails here."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
