@@ -12,6 +12,8 @@ DEFAULT_CAPS = {
     "s_hasse_total": 10,
     "max_cliques_routes": 4096,
     "generating_tree_n": 7,
+    "realize_vertices": 5040,
+    "routes": 65536,
 }
 
 

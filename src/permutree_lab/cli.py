@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from . import permutree as pt
 from . import s_weak_order as sw
 from . import verify as vf
 from . import weak_order as wo
+from .caps import require_cap
 from .errors import ResourceCapError, ValidationError
 
 
@@ -76,11 +78,26 @@ def _parse_pi(text):
 
 def _parse_eps(text):
     try:
-        return Fraction(text)
+        eps = Fraction(text)
     except ValueError:
         raise ValidationError(f"--epsilon {text!r} is not an exact rational such as 1/100") from None
     except ZeroDivisionError:
         raise ValidationError(f"--epsilon {text} has a zero denominator") from None
+    if eps <= 0:
+        raise ValidationError(f"--epsilon {text!r} must be positive")
+    return eps
+
+
+def _attach_negative_values(argv):
+    """`--epsilon -1/2` as `--epsilon=-1/2`: argparse reads a value that
+    starts with '-' as an option unless it is a plain negative number."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _graph_from_args(args):
@@ -158,7 +175,7 @@ def cmd_sorder(args):
         _emit(H.to_json(key=sw.serialize_word), args)
     elif args.verb == "realize":
         eps = _parse_eps(args.epsilon) if args.epsilon else None
-        real = og.realize(s, eps)
+        real = og.realize(s, eps, cap=args.cap)
         _emit(real.to_json(approx=args.approx), args)
     elif args.verb == "identities":
         _emit(og.lidskii_identities(s), args)
@@ -167,6 +184,7 @@ def cmd_sorder(args):
 def cmd_flows(args):
     graph = _graph_from_args(args)
     if args.verb == "routes":
+        require_cap("routes", fl.count_routes(graph), args.cap)
         rs = fl.routes(graph)
         _emit({"count": len(rs), "routes": [[str(e) for e in r] for r in rs]}, args)
     elif args.verb == "cliques":
@@ -277,7 +295,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         args.func(args)
     except ResourceCapError as exc:

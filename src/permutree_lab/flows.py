@@ -116,6 +116,14 @@ def routes(graph) -> list:
     return out
 
 
+def count_routes(graph) -> int:
+    """Number of routes, by a DP from the sink back over the forward edges."""
+    ways = [0] * graph.n + [1]
+    for v in range(graph.n - 1, -1, -1):
+        ways[v] = sum(ways[graph.head(e)] for e in graph.outgoing[v])
+    return ways[0]
+
+
 def route_vertices(graph, route):
     verts = [graph.tail(route[0])]
     verts.extend(graph.head(e) for e in route)
@@ -126,34 +134,24 @@ def _shared_blocks(graph, p, q):
     """Maximal shared subroutes, as (entry_edges, exit_edges) around each.
 
     entry/exit is None at the source/sink ends; inside a block both routes
-    ride the same edges.
+    ride the same edges.  One merge walk over the two vertex sequences.
     """
-    in_p = {graph.head(e): e for e in p}
-    in_q = {graph.head(e): e for e in q}
-    out_p = {graph.tail(e): e for e in p}
-    out_q = {graph.tail(e): e for e in q}
-    common = sorted(
-        (set(route_vertices(graph, p)) & set(route_vertices(graph, q)))
-    )
-    blocks = []
-    k = 0
-    while k < len(common):
-        v = common[k]
-        start = v
-        while True:
-            ep, eq = out_p.get(v), out_q.get(v)
-            if ep is not None and ep == eq:
-                v = graph.head(ep)
-                k = common.index(v)
-            else:
-                break
-        blocks.append((start, v))
-        k += 1
+    vp, vq = route_vertices(graph, p), route_vertices(graph, q)
     out = []
-    for start, end in blocks:
-        entry = (in_p.get(start), in_q.get(start))
-        exit_ = (out_p.get(end), out_q.get(end))
-        out.append({"start": start, "end": end, "entry": entry, "exit": exit_})
+    i = j = 0
+    while i < len(vp) and j < len(vq):
+        if vp[i] < vq[j]:
+            i += 1
+            continue
+        if vq[j] < vp[i]:
+            j += 1
+            continue
+        start, entry = vp[i], (p[i - 1] if i else None, q[j - 1] if j else None)
+        while i < len(p) and j < len(q) and p[i] == q[j]:
+            i, j = i + 1, j + 1
+        exit_ = (p[i] if i < len(p) else None, q[j] if j < len(q) else None)
+        out.append({"start": start, "end": vp[i], "entry": entry, "exit": exit_})
+        i, j = i + 1, j + 1
     return out
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import flows as fl
+from .caps import require_cap
 from .errors import ValidationError
 from .posets import Hasse
 from .s_weak_order import (
@@ -325,12 +326,13 @@ def vertex_coordinates(w, s, hs):
     return tuple(coords)
 
 
-def realize(s, eps=None) -> Realization:
+def realize(s, eps=None, cap=None) -> Realization:
     """Exact vertex/edge data of the s-permutahedron for an admissible eps.
 
     Refuses inadmissible heights, naming a violated minimal conflict.
     """
     s = check_composition(s, strict=True)
+    require_cap("realize_vertices", count_s_trees(s), cap)
     eps = default_epsilon(s) if eps is None else Fraction(eps)
     graph = build_oru(s)
     rs = fl.routes(graph)

@@ -3,10 +3,13 @@
 Elements are arbitrary hashable values.  Order, meets and joins are computed
 from cover reachability alone, so a `Hasse` instance serves as the brute-force
 oracle against which the constructive lattice operations are checked.
-Down-sets are kept as integer bitmasks.
+Down-sets and up-sets are kept as integer bitmasks whose bits follow a linear
+extension, so the highest bit of a down-set is one of its maximal members.
 """
 
 from __future__ import annotations
+
+from .errors import ValidationError
 
 
 class Hasse:
@@ -21,40 +24,23 @@ class Hasse:
         for a, b in self.covers:
             self._up[a].append(b)
             self._dn[b].append(a)
-        # down[i] = bitmask of {j : elements[j] <= elements[i]}
-        self.down = self._reach(self._dn)
-        self.up = self._reach(self._up)
-
-    def _reach(self, adj):
-        m = len(self.elements)
-        seen = [False] * m
-        mask = [0] * m
-        order = []
-
-        def visit(start):
-            stack = [(start, 0)]
-            while stack:
-                node, k = stack.pop()
-                if k == 0:
-                    if seen[node]:
-                        continue
-                    seen[node] = True
-                deps = adj[node]
-                if k < len(deps):
-                    stack.append((node, k + 1))
-                    if not seen[deps[k]]:
-                        stack.append((deps[k], 0))
-                else:
-                    order.append(node)
-
-        for i in range(m):
-            visit(i)
+        # Kahn's algorithm: `order` lists the indices along a linear extension.
+        pending = [len(lo) for lo in self._dn]
+        order = [i for i in range(m) if not pending[i]]
         for i in order:
-            acc = 1 << i
-            for j in adj[i]:
-                acc |= mask[j]
-            mask[i] = acc
-        return mask
+            for j in self._up[i]:
+                pending[j] -= 1
+                if not pending[j]:
+                    order.append(j)
+        if len(order) != m:
+            raise ValidationError("the cover relation has a cycle")
+        # Bit p of down[i] is the p-th element of the extension, of up[i] the
+        # p-th from its end: the highest bit of a down-set is a maximal member
+        # and the highest bit of an up-set a minimal one.
+        self._at_down, self._at_up = order, order[::-1]
+        self.down = _reach(self._at_down, self._dn)
+        self.up = _reach(self._at_up, self._up)
+        self.pos = [d.bit_length() - 1 for d in self.down]  # place in `order`
 
     def __len__(self):
         return len(self.elements)
@@ -63,7 +49,7 @@ class Hasse:
         return x in self.index
 
     def leq(self, x, y):
-        return bool(self.down[self.index[y]] >> self.index[x] & 1)
+        return bool(self.down[self.index[y]] >> self.pos[self.index[x]] & 1)
 
     def minimum(self):
         bots = [x for i, x in enumerate(self.elements) if not self._dn[i]]
@@ -75,31 +61,29 @@ class Hasse:
 
     def meet(self, x, y):
         """Greatest lower bound, or None if it does not exist."""
-        common = self.down[self.index[x]] & self.down[self.index[y]]
-        i = self._unique_top(common, self.down)
-        return self.elements[i] if i is not None else None
+        return self._greatest(self.down, self._at_down, x, y)
 
     def join(self, x, y):
-        common = self.up[self.index[x]] & self.up[self.index[y]]
-        i = self._unique_top(common, self.up)
-        return self.elements[i] if i is not None else None
+        """Least upper bound, or None if it does not exist."""
+        return self._greatest(self.up, self._at_up, x, y)
 
-    @staticmethod
-    def _unique_top(mask, masks):
-        # member of `mask` whose reachability set contains all of `mask`
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if mask & ~masks[i] == 0:
-                return i
-        return None
+    def _greatest(self, masks, at, x, y):
+        # The highest bit of `common` is a maximal member, and the bound exists
+        # iff that member's mask is all of `common` (never when it is 0).
+        common = masks[self.index[x]] & masks[self.index[y]]
+        k = at[common.bit_length() - 1]
+        return self.elements[k] if masks[k] == common else None
 
     def is_lattice(self):
-        xs = self.elements
-        for i, x in enumerate(xs):
-            for y in xs[i + 1 :]:
-                if self.meet(x, y) is None or self.join(x, y) is None:
+        """Every pair has a meet and a join: for a finite non-empty poset,
+        there is a top and every pair has a meet."""
+        if self.elements and self.maximum() is None:
+            return False
+        down, at = self.down, self._at_down
+        for i, dx in enumerate(down):
+            for dy in down[i + 1 :]:
+                common = dx & dy
+                if down[at[common.bit_length() - 1]] != common:
                     return False
         return True
 
@@ -113,6 +97,18 @@ class Hasse:
         nodes = [key(x) for x in self.elements]
         edges = sorted([key(self.elements[a]), key(self.elements[b])] for a, b in self.covers)
         return {"nodes": sorted(nodes), "edges": edges}
+
+
+def _reach(order, adj):
+    """mask[i] has bit p set iff order[p] is i or is reached from i through
+    `adj`, whose arcs all point to earlier places in `order`."""
+    mask = [0] * len(order)
+    for p, i in enumerate(order):
+        acc = 1 << p
+        for j in adj[i]:
+            acc |= mask[j]
+        mask[i] = acc
+    return mask
 
 
 def hasse_by_bfs(bottom, up_covers, key=None) -> Hasse:

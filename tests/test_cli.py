@@ -158,10 +158,19 @@ def test_exit_codes(capsys, tmp_path):
         ("--netflow", "1,2,z", ("flows", "kostant", "--s", "1,2,1")),
         ("--pi", "3,x,1", ("permutree", "sort")),
         ("--pi", "3a1", ("permutree", "insert", "--delta", "nnn")),
+        ("--epsilon", "-1/2", ("sorder", "realize", "--s", "1,2")),
+        ("--epsilon", "0", ("sorder", "realize", "--s", "1,2")),
     ]:
         code, out, err = run_cli(capsys, *argv, flag, bad)
         assert (code, out) == (1, ""), (flag, bad)
         assert len(err.splitlines()) == 1 and f"{flag} {bad!r}" in err, (flag, bad)
+    for cap, argv in [  # refused from a count, before any enumeration
+        ("realize_vertices", ("sorder", "realize", "--s", "2,2,2,2,2,2,2")),
+        ("routes", ("flows", "routes", "--delta", "n" * 25)),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and f"resource cap: {cap}:" in err, argv
 
 
 def test_cap_flag_overrides(capsys):
@@ -173,6 +182,14 @@ def test_cap_flag_overrides(capsys):
     )
     assert code == 0
     assert len(json.loads(out)["nodes"]) == 24
+    code, _, err = run_cli(capsys, "sorder", "realize", "--s", "1,2", "--cap", "2")
+    assert code == 2 and "realize_vertices: requested size 3 exceeds cap 2" in err
+    code, out, _ = run_cli(capsys, "sorder", "realize", "--s", "1,2", "--cap", "3", "--json")
+    assert code == 0 and len(json.loads(out)["vertices"]) == 3
+    code, _, err = run_cli(capsys, "flows", "routes", "--s", "1,2,1", "--cap", "9")
+    assert code == 2 and "routes: requested size 10 exceeds cap 9" in err
+    code, out, _ = run_cli(capsys, "flows", "routes", "--s", "1,2,1", "--cap", "10", "--json")
+    assert code == 0 and json.loads(out)["count"] == 10
 
 
 def test_verify_quick(capsys):

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from permutree_lab import bicho as bi
 from permutree_lab import flows as fl
 from permutree_lab import oruga as og
+from permutree_lab import permutree as pt
 from permutree_lab.errors import ValidationError
 
 
@@ -39,6 +41,43 @@ def test_routes_fixture(G):
     assert ("c", "r") in rs
     two = fl.routes(doubled_path(1))
     assert len(two) == 2
+
+
+def test_count_routes_matches_enumeration(G):
+    graphs = [G] + [doubled_path(n) for n in range(1, 5)]
+    graphs += [og.build_oru(s) for s in [(1,), (1, 2, 1), (2, 1, 3), (1, 1, 1, 1, 1)]]
+    graphs += [bi.build_bic(pt.Decoration(d)) for d in ["nn", "nxdn", "nudnn", "nnnnnn"]]
+    for graph in graphs:
+        assert fl.count_routes(graph) == len(fl.routes(graph))
+
+
+def reference_blocks(graph, p, q):
+    """Shared blocks by definition: consecutive common vertices join one
+    block when both routes leave the first by the same edge."""
+    vp, vq = fl.route_vertices(graph, p), fl.route_vertices(graph, q)
+    in_p, in_q = dict(zip(vp[1:], p)), dict(zip(vq[1:], q))
+    out_p, out_q = dict(zip(vp, p)), dict(zip(vq, q))
+    spans = []
+    for v in sorted(set(vp) & set(vq)):
+        end = spans[-1][1] if spans else None
+        if end is not None and out_p.get(end) is not None and out_p.get(end) == out_q.get(end):
+            spans[-1][1] = v
+        else:
+            spans.append([v, v])
+    return [
+        {"start": a, "end": b, "entry": (in_p.get(a), in_q.get(a)), "exit": (out_p.get(b), out_q.get(b))}
+        for a, b in spans
+    ]
+
+
+def test_shared_blocks_match_definition(G):
+    graphs = [G] + [og.build_oru(s) for s in [(1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]]
+    graphs += [bi.build_bic(pt.Decoration(d)) for d in ["nxdn", "nudn", "nnnnn"]]
+    for graph in graphs:
+        rs = fl.routes(graph)
+        for p in rs:
+            for q in rs:
+                assert fl._shared_blocks(graph, p, q) == reference_blocks(graph, p, q)
 
 
 def test_coherence_structure(G):

@@ -1,0 +1,116 @@
+"""`posets.Hasse` against brute-force definitions on small posets.
+
+Every poset is listed in an order that is not a linear extension, so the
+linear extension `Hasse` builds for its bitmasks differs from the list order.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permutree_lab.errors import ValidationError
+from permutree_lab.posets import Hasse
+
+
+def closure(n, rel):
+    """Reflexive-transitive closure of `rel` on range(n), as a set of pairs."""
+    le = {(i, i) for i in range(n)} | set(rel)
+    for k in range(n):
+        le |= {(i, j) for (i, a) in le if a == k for (b, j) in le if b == k}
+    return le
+
+
+def covers(n, le):
+    return [
+        (a, b)
+        for (a, b) in le
+        if a != b and not any((a, c) in le and (c, b) in le for c in range(n) if c not in (a, b))
+    ]
+
+
+def greatest(xs, le):
+    top = [x for x in xs if all((y, x) in le for y in xs)]
+    return top[0] if top else None
+
+
+def natural_posets(n):
+    """Every poset on range(n) whose natural order is a linear extension; up to
+    isomorphism this is every poset on n elements."""
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        rel = {p for k, p in enumerate(pairs) if bits >> k & 1}
+        if closure(n, rel) == rel | {(i, i) for i in range(n)}:
+            yield rel | {(i, i) for i in range(n)}
+
+
+def check_against_brute_force(n, le, elements):
+    H = Hasse(elements, covers(n, le))
+    for x in range(n):
+        for y in range(n):
+            assert H.leq(x, y) == ((x, y) in le)
+            lower = [z for z in range(n) if (z, x) in le and (z, y) in le]
+            upper = [z for z in range(n) if (x, z) in le and (y, z) in le]
+            assert H.meet(x, y) == greatest(lower, le)
+            assert H.join(x, y) == greatest(upper, {(b, a) for a, b in le})
+    assert H.minimum() == greatest(range(n), {(b, a) for a, b in le})
+    assert H.maximum() == greatest(range(n), le)
+    lattice = all(
+        H.meet(x, y) is not None and H.join(x, y) is not None
+        for x in range(n)
+        for y in range(n)
+    )
+    assert H.is_lattice() == lattice
+    return lattice
+
+
+def test_every_poset_up_to_five_elements():
+    rng = random.Random(5)
+    seen = lattices = 0
+    for n in range(6):
+        for le in natural_posets(n):
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for elements in (list(reversed(range(n))), shuffled):
+                lattices += check_against_brute_force(n, le, elements)
+            seen += 1
+    # naturally labelled posets on 0..5 elements: 1 + 1 + 2 + 7 + 40 + 357
+    assert seen == 408 and 0 < lattices < 2 * seen
+
+
+@st.composite
+def posets(draw):
+    """A random poset on range(n), n <= 8, and a random listing of it."""
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    rel = {p for k, p in enumerate(pairs) if bits >> k & 1}
+    return n, closure(n, rel), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets())
+def test_random_posets_up_to_eight_elements(case):
+    check_against_brute_force(*case)
+
+
+@pytest.mark.parametrize(
+    "name, cover_list",
+    [
+        ("bowtie", [(0, 2), (0, 3), (1, 2), (1, 3)]),
+        ("all meets, no top", [(0, 1), (0, 2)]),
+        ("two bottoms", [(0, 2), (1, 2)]),
+    ],
+)
+def test_named_non_lattices(name, cover_list):
+    n = 1 + max(b for _, b in cover_list)
+    assert not check_against_brute_force(n, closure(n, cover_list), list(reversed(range(n)))), name
+
+
+def test_cyclic_covers_raise():
+    with pytest.raises(ValidationError):
+        Hasse("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(ValidationError):
+        Hasse("ab", [("a", "a"), ("a", "b")])
