@@ -14,6 +14,7 @@ DEFAULT_CAPS = {
     "generating_tree_n": 7,
     "realize_vertices": 5040,
     "routes": 65536,
+    "lidskii_terms": 1_000_000,
 }
 
 

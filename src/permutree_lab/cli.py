@@ -3,9 +3,9 @@
 Verbs: permutree {count|lattice|insert|sort}, sorder {count|hasse|realize|
 identities}, flows {routes|cliques|kostant|volume}, bicho {build|verify|
 conjectures}, verify {all|<module>}.  Exit status 0 on success, 1 on
-validation errors, 2 on resource-cap refusals.  With --json the output is
-machine-readable and byte-stable; rationals appear as {num, den} pairs
-unless --approx asks for decimals.
+validation and usage errors, 2 on resource-cap refusals.  With --json the
+output is machine-readable and byte-stable; rationals appear as {num, den}
+pairs unless --approx asks for decimals.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def cmd_flows(args):
         _emit({"netflow": list(a), "kostant": fl.kostant(graph, a)}, args)
     elif args.verb == "volume":
         a = _netflow_from_args(graph, args.netflow)
-        _emit({"netflow": list(a), "volume": fl.lidskii_volume(graph, a)}, args)
+        _emit({"netflow": list(a), "volume": fl.lidskii_volume(graph, a, cap=args.cap)}, args)
 
 
 def cmd_bicho(args):
@@ -245,8 +245,15 @@ def cmd_verify(args):
         sys.exit(1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors follow the one-line rule: one stderr line, exit status 1."""
+
+    def error(self, message):
+        self.exit(1, f"invalid input: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="permutree-lab", description=__doc__)
+    p = _Parser(prog="permutree-lab", description=__doc__)
     sub = p.add_subparsers(dest="family", required=True)
 
     def common(sp):

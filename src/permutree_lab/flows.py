@@ -422,11 +422,28 @@ def dominance_compositions(total, parts, mins):
     return out
 
 
-def lidskii_volume(graph, a) -> int:
+def count_dominance_compositions(total, parts, mins) -> int:
+    """len(dominance_compositions(total, parts, mins)), by a DP over partial sums."""
+    if parts == 0 or total < 0:
+        return int(total == 0)
+    ways = [1] + [0] * total  # ways[u]: admissible prefixes summing to u
+    floor = 0
+    for k in range(parts - 1):
+        floor += mins[k]
+        acc, nxt = 0, []
+        for u in range(total + 1):
+            acc += ways[u]
+            nxt.append(acc if u >= floor else 0)
+        ways = nxt
+    return sum(ways)
+
+
+def lidskii_volume(graph, a, cap=None) -> int:
     """Normalized volume of the flow polytope by the first Lidskii formula.
 
     Sums multinomial(m - n; j) * prod a_i^{j_i} * K_G(j - o, 0) over weak
-    compositions j of m - n dominating the shifted outdegrees o.
+    compositions j of m - n dominating the shifted outdegrees o; the number
+    of terms is checked against the cap `lidskii_terms` before the sum.
     """
     a = check_netflow(graph, a)
     n = graph.n
@@ -434,6 +451,7 @@ def lidskii_volume(graph, a) -> int:
         raise ValidationError("Lidskii needs a_0..a_{n-1} >= 0")
     m = len(graph.edges)
     o = [graph.outdegrees()[v] - 1 for v in range(n)]
+    require_cap("lidskii_terms", count_dominance_compositions(m - n, n, o), cap)
     total = 0
     mn = factorial(m - n)
     for j in dominance_compositions(m - n, n, o):

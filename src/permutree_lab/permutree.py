@@ -110,7 +110,7 @@ def normalized_decorations(n):
 
 
 class Permutree:
-    __slots__ = ("n", "delta", "children", "parents", "_inv", "_hash")
+    __slots__ = ("n", "delta", "children", "parents", "_inv", "_adj", "_hash")
 
     def __init__(self, n, delta, children, parents):
         self.n = n
@@ -118,6 +118,7 @@ class Permutree:
         self.children = children  # tuple over 1..n of slot tuples, entries node|None
         self.parents = parents
         self._inv = None
+        self._adj = None
         self._hash = None
 
     def child_slots(self, i):
@@ -126,27 +127,25 @@ class Permutree:
     def parent_slots(self, i):
         return self.parents[i - 1]
 
-    def descendants(self, i):
-        """All nodes strictly below i (through any child slot)."""
-        out = set()
-        stack = [c for c in self.children[i - 1] if c is not None]
-        while stack:
-            v = stack.pop()
-            if v in out:
-                continue
-            out.add(v)
-            stack.extend(c for c in self.children[v - 1] if c is not None)
-        return out
-
     def inversion_pairs(self):
-        """B(T) = {(i, j) : i < j and j a descendant of i}."""
+        """B(T) = {(i, j) : i < j and j a descendant of i}, in one children-first pass."""
         if self._inv is None:
-            pairs = set()
-            for i in range(1, self.n + 1):
-                for j in self.descendants(i):
-                    if j > i:
-                        pairs.add((i, j))
-            self._inv = frozenset(pairs)
+            n = self.n
+            below = [0] * (n + 1)  # bit j of below[v]: j is a descendant of v
+            waiting = [sum(c is not None for c in cs) for cs in self.children]
+            ready = [v for v in range(1, n + 1) if not waiting[v - 1]]
+            for v in ready:
+                for c in self.children[v - 1]:
+                    if c is not None:
+                        below[v] |= below[c] | 1 << c
+                for p in self.parents[v - 1]:
+                    if p is not None:
+                        waiting[p - 1] -= 1
+                        if not waiting[p - 1]:
+                            ready.append(p)
+            self._inv = frozenset(
+                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if below[i] >> j & 1
+            )
         return self._inv
 
     def slot_component(self, i, start):
@@ -185,11 +184,11 @@ class Permutree:
         return out
 
     def undirected_adjacency(self):
-        adj = {i: set() for i in range(1, self.n + 1)}
-        for c, p in self.direct_edges():
-            adj[c].add(p)
-            adj[p].add(c)
-        return adj
+        """Neighbours of each node (index 0 unused), built once per tree."""
+        if self._adj is None:
+            slots = zip(self.children, self.parents)
+            self._adj = ((),) + tuple(tuple(v for v in c + p if v is not None) for c, p in slots)
+        return self._adj
 
     def __eq__(self, other):
         return (
@@ -362,15 +361,29 @@ def rotate(tree, edge) -> Permutree:
     """Increasing rotation along a tree edge i -> j (i < j, i a child of j).
 
     Every edge cut survives except the one of the rotated edge; on inversion
-    sets this is the transitive closure of adding the pair (i, j).
+    sets this is the transitive closure of adding (i, j), checked on the
+    result.  j takes i's right (or only) child slot and i takes j's left (or
+    only) parent slot; the two nodes displaced fill the slots that held i, j.
     """
     i, j = edge
     if not (1 <= i < j <= tree.n):
         raise ValidationError(f"need an edge (i, j) with i < j, got {edge}")
-    if (i, j) not in tree.direct_edges():
+    if i not in tree.children[j - 1]:
         raise ValidationError(f"({i}->{j}) is not an edge of the permutree", witness=edge)
-    pairs = transitive_closure_pairs(tree.inversion_pairs() | {(i, j)}, tree.n)
-    return _tree_from_pairs(pairs, tree.delta)
+    children, parents = [list(s) for s in tree.children], [list(s) for s in tree.parents]
+    ci = 1 if tree.delta[i] in DOWNISH else 0
+    down, up = children[i - 1][ci], parents[j - 1][0]
+    children[j - 1][children[j - 1].index(i)], children[i - 1][ci] = down, j
+    parents[i - 1][parents[i - 1].index(j)], parents[j - 1][0] = up, i
+    if down is not None:
+        parents[down - 1][parents[down - 1].index(i)] = j
+    if up is not None:
+        children[up - 1][children[up - 1].index(j)] = i
+    out = Permutree(tree.n, tree.delta, tuple(map(tuple, children)), tuple(map(tuple, parents)))
+    closure = transitive_closure_pairs(tree.inversion_pairs() | {(i, j)}, tree.n)
+    if out.inversion_pairs() != closure:
+        raise ValidationError("rotated slots disagree with the closure of B(T) + (i, j)", edge)
+    return out
 
 
 def increasing_rotations(tree):

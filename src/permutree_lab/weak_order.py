@@ -91,14 +91,20 @@ def lehmer_decode(code):
 
 def transitive_closure_pairs(pairs, n):
     """Closure of a set of pairs (i, j), i < j, under (i,j),(j,k) -> (i,k)."""
-    adj = [set() for _ in range(n + 1)]
+    rows = [0] * (n + 1)  # bit j of rows[i]: the pair (i, j)
     for i, j in pairs:
-        adj[i].add(j)
+        rows[i] |= 1 << j
     for k in range(n, 0, -1):
+        bit, row = 1 << k, rows[k]
         for i in range(1, n + 1):
-            if k in adj[i]:
-                adj[i] |= adj[k]
-    return frozenset((i, j) for i in range(1, n + 1) for j in adj[i])
+            if rows[i] & bit:
+                rows[i] |= row
+    out = []
+    for i, r in enumerate(rows[1:], 1):
+        while r:
+            out.append((i, (r & -r).bit_length() - 1))
+            r &= r - 1
+    return frozenset(out)
 
 
 def transitivity_witness(pairs, n):
@@ -130,30 +136,26 @@ def cotransitivity_witness(pairs, n):
 def perm_from_inversions(pairs, n) -> Perm:
     """The unique permutation whose inversion set is `pairs`.
 
-    Requires the set to be transitive and cotransitive.
+    It is built first; the witness scans run only to say why a set fails.
     """
-    w = transitivity_witness(pairs, n)
-    if w is not None:
-        raise ValidationError("inversion set not transitive", witness=w)
-    w = cotransitivity_witness(pairs, n)
-    if w is not None:
-        raise ValidationError("inversion set not cotransitive", witness=w)
-    s = set(pairs)
+    s = frozenset(pairs)
     # value i precedes value j (i < j) exactly when (i, j) is not an inversion
     seq = [n]
     for i in range(n - 1, 0, -1):
         k = 0
-        while k < len(seq):
-            j = seq[k]
-            if (i, j) in s:  # i must come after j
-                k += 1
-            else:
-                break
+        while k < len(seq) and (i, seq[k]) in s:  # i must come after seq[k]
+            k += 1
         seq.insert(k, i)
     pi = tuple(seq)
-    if inversions(pi) != frozenset(pairs):
-        raise ValidationError("pair set is not realizable as an inversion set")
-    return pi
+    if inversions(pi) == s:
+        return pi
+    w = transitivity_witness(s, n)
+    if w is not None:
+        raise ValidationError("inversion set not transitive", witness=w)
+    w = cotransitivity_witness(s, n)
+    if w is not None:
+        raise ValidationError("inversion set not cotransitive", witness=w)
+    raise ValidationError("pair set is not realizable as an inversion set")
 
 
 def weak_leq(pi, sigma) -> bool:

@@ -167,10 +167,24 @@ def test_exit_codes(capsys, tmp_path):
     for cap, argv in [  # refused from a count, before any enumeration
         ("realize_vertices", ("sorder", "realize", "--s", "2,2,2,2,2,2,2")),
         ("routes", ("flows", "routes", "--delta", "n" * 25)),
+        ("lidskii_terms", ("flows", "volume", "--delta", "n" * 16)),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and f"resource cap: {cap}:" in err, argv
+    for argv in [  # usage errors: exit 1 like any bad input, not the cap status 2
+        (),
+        ("bogus",),
+        ("permutree", "frob", "--delta", "nnn"),
+        ("sorder", "realize"),
+        ("sorder", "count", "--s", "1,2", "--nope"),
+        ("permutree", "count", "--delta", "nnn", "--n", "x"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("invalid input: "), argv
+    code, out, _ = run_cli(capsys, "sorder", "--help")
+    assert code == 0 and out.startswith("usage:")
 
 
 def test_cap_flag_overrides(capsys):
@@ -190,6 +204,10 @@ def test_cap_flag_overrides(capsys):
     assert code == 2 and "routes: requested size 10 exceeds cap 9" in err
     code, out, _ = run_cli(capsys, "flows", "routes", "--s", "1,2,1", "--cap", "10", "--json")
     assert code == 0 and json.loads(out)["count"] == 10
+    code, _, err = run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--cap", "13")
+    assert code == 2 and "lidskii_terms: requested size 14 exceeds cap 13" in err
+    code, out, _ = run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--cap", "14", "--json")
+    assert code == 0 and out == run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--json")[1]
 
 
 def test_verify_quick(capsys):

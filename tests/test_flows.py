@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +8,7 @@ from permutree_lab import bicho as bi
 from permutree_lab import flows as fl
 from permutree_lab import oruga as og
 from permutree_lab import permutree as pt
-from permutree_lab.errors import ValidationError
+from permutree_lab.errors import ResourceCapError, ValidationError
 
 
 @pytest.fixture
@@ -184,6 +184,26 @@ def test_lidskii_volume(G):
         assert vol == fl.kostant(C, fl.netflow_d(C)) == math.factorial(C.dimension())
     with pytest.raises(ValidationError):
         fl.lidskii_volume(G, (0, 1, -2, 1))
+
+
+def test_count_dominance_compositions_matches_enumeration():
+    for total in range(-1, 7):
+        for parts in range(5):
+            for mins in product(range(-1, 3), repeat=parts):
+                want = len(fl.dominance_compositions(total, parts, mins))
+                assert fl.count_dominance_compositions(total, parts, mins) == want
+
+
+def test_lidskii_terms_cap():
+    graph = bi.build_bic(pt.Decoration("n" * 6))  # 132 terms, a Catalan number
+    a = fl.netflow_i(graph)
+    refusal = "lidskii_terms: requested size 132 exceeds cap 131"
+    with pytest.raises(ResourceCapError, match=refusal):
+        fl.lidskii_volume(graph, a, cap=131)
+    assert fl.lidskii_volume(graph, a, cap=132) == fl.kostant(graph, fl.netflow_d(graph))
+    big = bi.build_bic(pt.Decoration("n" * 16))
+    with pytest.raises(ResourceCapError, match="requested size 35357670 exceeds cap 1000000"):
+        fl.lidskii_volume(big, fl.netflow_i(big))
 
 
 def test_omega_bijection(G):

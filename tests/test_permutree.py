@@ -205,3 +205,56 @@ def test_updown_sections():
     assert pt.updown_sections(d) == [("n", "n"), ("n", "n"), ("n", "n")]
     d = pt.Decoration("ndxun")
     assert pt.updown_sections(d) == [("n", "d", "n"), ("n", "u", "n")]
+
+
+def test_rotate_matches_closure_route():
+    # BFS over the closure route B(T) | {(i, j)} -> transitive closure ->
+    # reconstruction, so the trees visited do not depend on `rotate`
+    total = 0
+    for n in range(1, 7):
+        for d in pt.normalized_decorations(n):
+            seen = {pt.bottom(d)}
+            frontier = list(seen)
+            while frontier:
+                nxt = []
+                for tree in frontier:
+                    for e in pt.increasing_rotations(tree):
+                        pairs = wo.transitive_closure_pairs(tree.inversion_pairs() | {e}, n)
+                        want = pt._tree_from_pairs(pairs, d)
+                        got = pt.rotate(tree, e)
+                        assert (got.children, got.parents) == (want.children, want.parents)
+                        total += 1
+                        if want not in seen:
+                            seen.add(want)
+                            nxt.append(want)
+                frontier = nxt
+            assert len(seen) == pt.count_permutrees(d)
+    assert total == 92245
+
+
+def test_inversion_pairs_match_descendants():
+    def below(tree, v):
+        out = set()
+        for c in tree.children[v - 1]:
+            if c is not None:
+                out |= {c} | below(tree, c)
+        return out
+
+    for n in range(1, 7):
+        for d in pt.normalized_decorations(n):
+            trees = pt.rotation_lattice(d).elements
+            assert len(trees) == pt.count_permutrees(d)
+            for t in trees:
+                fresh = pt.Permutree(n, d, t.children, t.parents)
+                want = {(i, j) for i in range(1, n + 1) for j in below(t, i) if j > i}
+                assert fresh.inversion_pairs() == want
+
+
+def test_rotate_checks_the_closure():
+    # node 2 holds 4 in its left child slot and 1 in its right one
+    children = ((None,), (4, 1), (2,), (None,))
+    parents = ((2,), (3,), (None,), (2,))
+    bad = pt.Permutree(4, pt.Decoration("ndnn"), children, parents)
+    with pytest.raises(ValidationError, match="closure") as info:
+        pt.rotate(bad, (2, 3))
+    assert info.value.witness == (2, 3)

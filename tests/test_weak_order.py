@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutree_lab import weak_order as wo
 from permutree_lab.errors import ResourceCapError, ValidationError
@@ -40,6 +44,64 @@ def test_inversion_sets_transitive_cotransitive(n):
         assert wo.transitivity_witness(inv, n) is None
         assert wo.cotransitivity_witness(inv, n) is None
         assert wo.perm_from_inversions(inv, n) == pi
+
+
+@pytest.mark.parametrize(
+    "pairs, n, message, witness",
+    [
+        ({(1, 2), (2, 3)}, 3, "inversion set not transitive", (1, 2, 3)),
+        ({(1, 2), (2, 3), (1, 4)}, 4, "inversion set not transitive", (1, 2, 3)),
+        ({(1, 3)}, 3, "inversion set not cotransitive", (1, 2, 3)),
+        ({(1, 4)}, 4, "inversion set not cotransitive", (1, 2, 4)),
+        ({(2, 4), (1, 3)}, 4, "inversion set not cotransitive", (1, 2, 3)),
+        ({(2, 1)}, 2, "pair set is not realizable as an inversion set", None),
+        ({(1, 5)}, 3, "pair set is not realizable as an inversion set", None),
+        ({(1, 2), (3, 2)}, 3, "pair set is not realizable as an inversion set", None),
+    ],
+)
+def test_perm_from_inversions_errors(pairs, n, message, witness):
+    with pytest.raises(ValidationError) as info:
+        wo.perm_from_inversions(pairs, n)
+    assert (str(info.value), info.value.witness) == (message, witness)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_perm_from_inversions_every_pair_set(n):
+    # the witness scans pick the error: transitivity first, then cotransitivity
+    universe = list(combinations(range(1, n + 1), 2))
+    for r in range(len(universe) + 1):
+        for pairs in map(frozenset, combinations(universe, r)):
+            t, c = wo.transitivity_witness(pairs, n), wo.cotransitivity_witness(pairs, n)
+            if t is None and c is None:
+                assert wo.inversions(wo.perm_from_inversions(pairs, n)) == pairs
+                continue
+            with pytest.raises(ValidationError) as info:
+                wo.perm_from_inversions(pairs, n)
+            if t is not None:
+                want = ("inversion set not transitive", t)
+            else:
+                want = ("inversion set not cotransitive", c)
+            assert (str(info.value), info.value.witness) == want
+
+
+@st.composite
+def pair_sets(draw):
+    n = draw(st.integers(0, 9))
+    universe = list(combinations(range(1, n + 1), 2))
+    return n, draw(st.sets(st.sampled_from(universe))) if universe else set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_sets())
+def test_transitive_closure_matches_fixpoint(case):
+    n, pairs = case
+    closure = set(pairs)
+    while True:
+        more = {(i, k) for i, j in closure for j2, k in closure if j == j2} - closure
+        if not more:
+            break
+        closure |= more
+    assert wo.transitive_closure_pairs(pairs, n) == closure
 
 
 def test_weak_leq_examples():
