@@ -54,9 +54,6 @@ class PermutreeAutomaton:
     def accepts(self, word) -> bool:
         return self.classify[self.run(word)] != DEAD
 
-    def state_class(self, state):
-        return self.classify[state]
-
     def to_json(self):
         key = {s: repr(s) for s in self.states}
         table = {}
@@ -87,41 +84,31 @@ class PermutreeAutomaton:
 
 
 def build_single(kind, j, n) -> PermutreeAutomaton:
-    """The automaton U(j) (kind='U') or D(j) (kind='D') over s_1..s_{n-1}."""
+    """The automaton U(j) (kind='U') or D(j) (kind='D') over s_1..s_{n-1}.
+
+    D(j) is U(n+1-j) in a mirror: spine position k <-> n+1-k, letter l <-> n-l.
+    """
     if not 2 <= j <= n - 1:
         raise ValidationError(f"j={j} outside [2, {n - 1}]")
+    if kind not in ("U", "D"):
+        raise ValidationError(f"kind must be 'U' or 'D', got {kind!r}")
+    flip = kind == "D"
+    spot = (lambda k: n + 1 - k) if flip else (lambda k: k)
+    letter = (lambda l: n - l) if flip else (lambda l: l)
     states, transitions, classify = [], {}, {}
-    if kind == "U":
-        spine = range(j, n + 1)
-        for k in spine:
-            h, i = (HEALTHY, k), (ILL, k)
-            states += [h, i]
-            classify[h], classify[i] = HEALTHY, ILL
-            if k < n:
-                transitions[(h, k)] = (HEALTHY, k + 1)
-            transitions[(h, k - 1)] = i
-            if k <= n - 1:
-                d = (DEAD, k)
-                states.append(d)
-                classify[d] = DEAD
-                transitions[(i, k)] = d
-        return PermutreeAutomaton(n, states, (HEALTHY, j), transitions, classify, f"U({j})")
-    if kind == "D":
-        spine = range(j, 0, -1)
-        for k in spine:
-            h, i = (HEALTHY, k), (ILL, k)
-            states += [h, i]
-            classify[h], classify[i] = HEALTHY, ILL
-            if k > 1:
-                transitions[(h, k - 1)] = (HEALTHY, k - 1)
-            transitions[(h, k)] = i
-            if k >= 2:
-                d = (DEAD, k)
-                states.append(d)
-                classify[d] = DEAD
-                transitions[(i, k - 1)] = d
-        return PermutreeAutomaton(n, states, (HEALTHY, j), transitions, classify, f"D({j})")
-    raise ValidationError(f"kind must be 'U' or 'D', got {kind!r}")
+    for k in range(spot(j), n + 1):
+        h, i = (HEALTHY, spot(k)), (ILL, spot(k))
+        states += [h, i]
+        classify[h], classify[i] = HEALTHY, ILL
+        if k < n:
+            transitions[(h, letter(k))] = (HEALTHY, spot(k + 1))
+        transitions[(h, letter(k - 1))] = i
+        if k < n:
+            d = (DEAD, spot(k))
+            states.append(d)
+            classify[d] = DEAD
+            transitions[(i, letter(k))] = d
+    return PermutreeAutomaton(n, states, (HEALTHY, j), transitions, classify, f"{kind}({j})")
 
 
 def product(U, D, n) -> PermutreeAutomaton:
@@ -133,7 +120,7 @@ def product(U, D, n) -> PermutreeAutomaton:
     return _product_cached(frozenset(U), frozenset(D), n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # holds every (U, D, n) with n <= 7: 366 keys
 def _product_cached(U, D, n) -> PermutreeAutomaton:
     U, D = sorted(set(U)), sorted(set(D))
     factors = [build_single("U", j, n) for j in U] + [build_single("D", j, n) for j in D]

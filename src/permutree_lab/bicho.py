@@ -11,7 +11,6 @@ dip, replacing the edge by a source ("bs"/"ds", l) out of v_0 and a sink
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from math import factorial
 
 from . import flows as fl
@@ -70,17 +69,15 @@ def build_bic(delta) -> fl.FramedGraph:
                 edges[(role, l)] = (tail, head)
     framing = {}
     for v in range(1, n):
-        l_in, l_out = n + 1 - v, n - v
-        ins = [
-            ("b", l_in) if ("b", l_in) in edges else ("bs", l_in),
-            ("d", l_in) if ("d", l_in) in edges else ("ds", l_in),
-        ]
-        outs = [
-            ("b", l_out) if ("b", l_out) in edges else ("bt", l_out),
-            ("d", l_out) if ("d", l_out) in edges else ("dt", l_out),
-        ]
+        ins = [_edge(edges, role, n + 1 - v, "s") for role in ("b", "d")]
+        outs = [_edge(edges, role, n - v, "t") for role in ("b", "d")]
         framing[v] = {"in": ins, "out": outs}
     return fl.FramedGraph(n, edges, framing)
+
+
+def _edge(edges, role, l, half):
+    """The edge (role, l), or its moved half (role + half, l), half 's' or 't'."""
+    return (role, l) if (role, l) in edges else (role + half, l)
 
 
 def oruga_graph(n) -> fl.FramedGraph:
@@ -173,8 +170,7 @@ def permutree_to_dflow(tree) -> dict:
     d = netflow_d(graph)
     for v in range(1, n):
         into = sum(flow[e] for e in graph.incoming[v])
-        bump_edge = ("b", n - v) if ("b", n - v) in graph.edges else ("bt", n - v)
-        dip_edge = ("d", n - v) if ("d", n - v) in graph.edges else ("dt", n - v)
+        bump_edge, dip_edge = (_edge(graph.edges, role, n - v, "t") for role in ("b", "d"))
         flow[dip_edge] = into + d[v] - flow[bump_edge]
         if flow[dip_edge] < 0:
             raise AssertionError("negative dip flow from a permutree")
@@ -190,7 +186,7 @@ def dflow_to_permutree(flow, delta) -> Permutree:
     v = fl.conservation_violation(graph, flow)
     if v is not None:
         raise ValidationError(f"flow violates conservation at v{v}")
-    bumps = {i: flow[_bump_edge(graph, _level(i, n))] for i in range(1, n + 1)}
+    bumps = {i: flow[_edge(graph.edges, "b", _level(i, n), "s")] for i in range(1, n + 1)}
     heights = []  # one-line word, bottom to top
     for i in range(1, n + 1):
         pos = i - bumps[i] - 1
@@ -198,10 +194,6 @@ def dflow_to_permutree(flow, delta) -> Permutree:
             raise ValidationError(f"bump flow at node {i} out of range")
         heights.insert(pos, i)
     return insert(check_perm(heights), delta)
-
-
-def _bump_edge(graph, l):
-    return ("b", l) if ("b", l) in graph.edges else ("bs", l)
 
 
 # --- modified insertion: permutree -> maximal clique of bic ------------------
@@ -257,7 +249,7 @@ def permutree_clique(tree) -> frozenset:
         route for (v, k), route in carried.items() if tree.parents[v - 1][k] is None
     )
     clique = frozenset(labels)
-    want = len(graph.edges) - (graph.n + 1) + 2
+    want = graph.dimension() + 1
     if len(clique) != want:
         raise AssertionError(f"permutree clique size {len(clique)} != {want}")
     return clique
@@ -276,14 +268,14 @@ def rotation_from_adjacency(delta, cap=None) -> Hasse:
 # --- conjecture checkers ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _flow_count(symbols) -> int:
-    if len(symbols) == 0:
-        return 1
-    return count_d_flows(Decoration(symbols))
+def _flow_count(symbols, memo) -> int:
+    """Flow count of a decoration's symbols; `memo` is local to one report."""
+    if symbols not in memo:
+        memo[symbols] = count_d_flows(Decoration(symbols))
+    return memo[symbols]
 
 
-def _inner_sum(section) -> int:
+def _inner_sum(section, memo) -> int:
     """Conjectured recursion for a {none, down} section, on flow counts.
 
     Strips a maximal chain of 'n' roots (any of |J|! orders), then a 'd' root
@@ -305,7 +297,7 @@ def _inner_sum(section) -> int:
                 Jset = set(J)
                 left = tuple(sec[x] for x in range(r) if x not in Jset)
                 right = tuple(sec[x] for x in range(r + 1, m) if x not in Jset)
-                total += factorial(k) * _flow_count(left) * _flow_count(right)
+                total += factorial(k) * _flow_count(left, memo) * _flow_count(right, memo)
     return total
 
 
@@ -320,6 +312,7 @@ def check_conjectures(delta) -> dict:
     """
     delta = as_decoration(delta)
     lhs = count_d_flows(delta)
+    memo = {}
     report = {
         "delta": str(delta),
         "counts": {
@@ -331,7 +324,7 @@ def check_conjectures(delta) -> dict:
     if delta.n <= 6:
         report["counts"]["cliques"] = len(fl.max_cliques(build_bic(delta)))
     if set(delta.symbols) <= {"n", "d"}:
-        rhs = _inner_sum(delta.symbols)
+        rhs = _inner_sum(delta.symbols, memo)
         report["conjecture_1"] = "PASS" if rhs == lhs else "FAIL"
         report["conjecture_1_rhs"] = rhs
     else:
@@ -340,7 +333,7 @@ def check_conjectures(delta) -> dict:
     swapped = [tuple("d" if c == "u" else c for c in sec) for sec in sections]
     rhs2 = 1
     for sec in swapped:
-        rhs2 *= _inner_sum(sec)
+        rhs2 *= _inner_sum(sec, memo)
     report["conjecture_2"] = "PASS" if rhs2 == lhs else "FAIL"
     report["conjecture_2_rhs"] = rhs2
     report["witnesses"] = {

@@ -73,6 +73,7 @@ class FramedGraph:
         return tuple(len(self.outgoing[v]) for v in range(self.n + 1))
 
     def dimension(self):
+        """|E| - |V| + 1; a maximal clique of coherent routes has dimension() + 1 routes."""
         return len(self.edges) - (self.n + 1) + 1
 
     def to_json(self):
@@ -279,7 +280,7 @@ def max_cliques(graph, cap=None):
             excl = excl | {v}
 
     extend(frozenset(), set(idx), set())
-    want = len(graph.edges) - (graph.n + 1) + 2
+    want = graph.dimension() + 1
     cliques = [frozenset(rs[i] for i in cl) for cl in out]
     for cl in cliques:
         if len(cl) != want:
@@ -477,7 +478,7 @@ def omega(clique, graph):
     Prefixes are cut at the head of each edge; two routes sharing the prefix
     count once.
     """
-    want = len(graph.edges) - (graph.n + 1) + 2
+    want = graph.dimension() + 1
     if len(clique) != want:
         raise ValidationError(f"clique has {len(clique)} routes, maximal needs {want}")
     prefixes = {e: set() for e in graph.edges}

@@ -246,15 +246,11 @@ def oruga_height(route, s, eps) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    k, t, bits = route_params(route, s)
-    levels = {k: t}
-    for a in range(1, k):
-        levels[a] = s[a - 1] if bits[a - 1] else 0
+    t = [ta for _, _, ta in reversed(route)]  # t[a - 1]: edge index at level a
     total = Fraction(0)
-    for c in range(2, k + 1):
+    for c in range(2, len(t) + 1):
         for a in range(1, c):
-            da = 1 if (a < k and bits[a - 1]) else 0
-            total -= eps ** (c - a) * (levels[c] + da) ** 2
+            total -= eps ** (c - a) * (t[c - 1] + (1 if t[a - 1] else 0)) ** 2
     return total
 
 

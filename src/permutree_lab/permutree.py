@@ -12,8 +12,6 @@ given those data.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .caps import require_cap
 from .errors import ValidationError
 from .posets import Hasse, hasse_by_bfs
@@ -121,12 +119,6 @@ class Permutree:
         self._adj = None
         self._hash = None
 
-    def child_slots(self, i):
-        return self.children[i - 1]
-
-    def parent_slots(self, i):
-        return self.parents[i - 1]
-
     def inversion_pairs(self):
         """B(T) = {(i, j) : i < j and j a descendant of i}, in one children-first pass."""
         if self._inv is None:
@@ -221,25 +213,43 @@ class Permutree:
 
 
 def permutree_from_json(data) -> Permutree:
-    n = data["n"]
-    delta = parse_decoration(data["delta"])
-    children = []
-    for i in range(1, n + 1):
-        slot = data["children"][i - 1]
-        if delta[i] in DOWNISH:
-            children.append((slot["LD"], slot["RD"]))
-        else:
-            children.append((slot["D"],))
-    parents = [[None, None] if delta[i] in UPISH else [None] for i in range(1, n + 1)]
-    for p in range(1, n + 1):
-        for c in children[p - 1]:
-            if c is None:
-                continue
-            if delta[c] in UPISH:
-                parents[c - 1][0 if p < c else 1] = p
+    """Inverse of `Permutree.to_json`; refuses slots that `check_permutree` refuses."""
+    try:
+        n = data["n"]
+        delta = parse_decoration(data["delta"])
+        children = []
+        for i in range(1, n + 1):
+            slot = data["children"][i - 1]
+            if delta[i] in DOWNISH:
+                children.append((slot["LD"], slot["RD"]))
             else:
-                parents[c - 1][0] = p
-    return Permutree(n, delta, tuple(children), tuple(tuple(s) for s in parents))
+                children.append((slot["D"],))
+        parents = [[None, None] if delta[i] in UPISH else [None] for i in range(1, n + 1)]
+        for p in range(1, n + 1):
+            for c in children[p - 1]:
+                if c is None:
+                    continue
+                if delta[c] in UPISH:
+                    parents[c - 1][0 if p < c else 1] = p
+                else:
+                    parents[c - 1][0] = p
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValidationError(f"malformed permutree JSON: {exc!r}") from None
+    return check_permutree(Permutree(n, delta, tuple(children), tuple(tuple(s) for s in parents)))
+
+
+def check_permutree(tree) -> Permutree:
+    """`tree` itself when it is the insertion tree of one of its linear
+    extensions; a cycle or any slot that differs is refused."""
+    ext = linear_extensions(tree, limit=1)
+    if not ext:
+        raise ValidationError("the slots admit no linear extension (a cycle or unmirrored parents)")
+    want = insert(ext[0], tree.delta)
+    slots = list(zip(tree.children, tree.parents))
+    for v, want_slots in enumerate(zip(want.children, want.parents), 1):
+        if slots[v - 1] != want_slots:
+            raise ValidationError(f"node {v}'s slots differ from the insertion tree", witness=v)
+    return tree
 
 
 def insert(pi, delta) -> Permutree:
@@ -258,21 +268,14 @@ def insert(pi, delta) -> Permutree:
     parents = [[None, None] if delta[i] in UPISH else [None] for i in range(1, n + 1)]
 
     # zones are column intervals (lo, hi) between active walls; each carries the
-    # string top: None or (node, side) with side in {'only', 'left', 'right'}
+    # string top: None or (node, k), the string leaving the node's parent slot k
     walls = [i for i in range(1, n + 1) if delta[i] in DOWNISH]
     bounds = [0] + walls + [n + 1]
     zones = [[bounds[k], bounds[k + 1], None] for k in range(len(bounds) - 1)]
 
     def attach_parent(top, v):
-        if top is None:
-            return
-        node, side = top
-        if side == "only":
-            parents[node - 1][0] = v
-        elif side == "left":
-            parents[node - 1][0] = v
-        else:
-            parents[node - 1][1] = v
+        if top is not None:
+            parents[top[0] - 1][top[1]] = v
 
     for v in pi:
         dv = delta[v]
@@ -294,11 +297,11 @@ def insert(pi, delta) -> Permutree:
             attach_parent(zone[2], v)
         if dv in UPISH:
             zones[z_idx : z_idx + 1] = [
-                [zone[0], v, (v, "left")],
-                [v, zone[1], (v, "right")],
+                [zone[0], v, (v, 0)],
+                [v, zone[1], (v, 1)],
             ]
         else:
-            zone[2] = (v, "only")
+            zone[2] = (v, 0)
 
     return Permutree(n, delta, tuple(tuple(c) for c in children), tuple(tuple(p) for p in parents))
 
@@ -315,10 +318,14 @@ def linear_extensions(tree, limit=None):
     pending = child_count[:]
 
     def rec(avail, placed):
+        nonlocal limit
         if limit is not None and len(out) >= limit:
             return
         if len(placed) == n:
             out.append(tuple(placed))
+            return
+        if not avail:  # a cycle: no order places the rest, so end the search
+            limit = len(out)
             return
         for v in list(avail):
             nxt = [w for w in avail if w != v]
@@ -373,12 +380,15 @@ def rotate(tree, edge) -> Permutree:
     children, parents = [list(s) for s in tree.children], [list(s) for s in tree.parents]
     ci = 1 if tree.delta[i] in DOWNISH else 0
     down, up = children[i - 1][ci], parents[j - 1][0]
-    children[j - 1][children[j - 1].index(i)], children[i - 1][ci] = down, j
-    parents[i - 1][parents[i - 1].index(j)], parents[j - 1][0] = up, i
-    if down is not None:
-        parents[down - 1][parents[down - 1].index(i)] = j
-    if up is not None:
-        children[up - 1][children[up - 1].index(j)] = i
+    try:
+        children[j - 1][children[j - 1].index(i)], children[i - 1][ci] = down, j
+        parents[i - 1][parents[i - 1].index(j)], parents[j - 1][0] = up, i
+        if down is not None:
+            parents[down - 1][parents[down - 1].index(i)] = j
+        if up is not None:
+            children[up - 1][children[up - 1].index(j)] = i
+    except ValueError:
+        raise ValidationError("the parent slots do not mirror the child slots", edge) from None
     out = Permutree(tree.n, tree.delta, tuple(map(tuple, children)), tuple(map(tuple, parents)))
     closure = transitive_closure_pairs(tree.inversion_pairs() | {(i, j)}, tree.n)
     if out.inversion_pairs() != closure:
@@ -411,10 +421,11 @@ def count_permutrees(delta) -> int:
     by labels).
     """
     delta = as_decoration(delta)
+    memo = {}
     total = 1
     for section in updown_sections(delta):
         flipped = tuple("d" if c == "u" else c for c in section)
-        total *= _count_section(flipped)
+        total *= _count_section(flipped, memo)
     return total
 
 
@@ -437,17 +448,19 @@ def updown_sections(delta):
     return sections
 
 
-@lru_cache(maxsize=None)
-def _count_section(sec) -> int:
+def _count_section(sec, memo) -> int:
+    """Permutrees of one {n, d} section; `memo` is shared within one count."""
     if len(sec) <= 1:
         return 1
-    total = 0
-    for r, sym in enumerate(sec):
-        if sym == "d":
-            total += _count_section(sec[:r]) * _count_section(sec[r + 1 :])
-        else:
-            total += _count_section(sec[:r] + sec[r + 1 :])
-    return total
+    if sec not in memo:
+        total = 0
+        for r, sym in enumerate(sec):
+            if sym == "d":
+                total += _count_section(sec[:r], memo) * _count_section(sec[r + 1 :], memo)
+            else:
+                total += _count_section(sec[:r] + sec[r + 1 :], memo)
+        memo[sec] = total
+    return memo[sec]
 
 
 def insertion_fibers(delta):
@@ -481,21 +494,11 @@ def permutreehedron_vertex(tree):
 
 def edge_cuts(tree):
     """One ordered partition (I || [n] \\ I) per tree edge, I on the child side."""
-    n = tree.n
-    adj = tree.undirected_adjacency()
+    nodes = frozenset(range(1, tree.n + 1))
     cuts = set()
     for c, p in tree.direct_edges():
-        seen = {p, c}
-        stack = [c]
-        side = {c}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    side.add(w)
-                    stack.append(w)
-        cuts.add((frozenset(side), frozenset(range(1, n + 1)) - frozenset(side)))
+        side = tree.slot_component(p, c)
+        cuts.add((side, nodes - side))
     return cuts
 
 

@@ -116,7 +116,7 @@ def word_to_tree(w, s):
     """Inverse of `tree_to_word` (split at the occurrences of the maximum)."""
     s = check_composition(s, strict=True)
 
-    def rec(chunk, labels):
+    def rec(chunk):
         if not chunk:
             return None
         m = max(chunk)
@@ -127,9 +127,9 @@ def word_to_tree(w, s):
             parts.append(chunk[prev:k])
             prev = k + 1
         parts.append(chunk[prev:])
-        return (m, tuple(rec(p, labels) for p in parts))
+        return (m, tuple(rec(p) for p in parts))
 
-    tree = rec(tuple(w), None)
+    tree = rec(tuple(w))
     return check_tree(tree, s)
 
 
@@ -308,10 +308,6 @@ def s_leq(w1, w2, s) -> bool:
 def ascents(w):
     """Pairs (a, c), a < c, with 'ac' a substring of w."""
     return sorted({(a, c) for a, c in zip(w, w[1:]) if a < c})
-
-
-def descents(w):
-    return sorted({(a, c) for c, a in zip(w, w[1:]) if a < c})
 
 
 def transpose_ascent(w, pair, s) -> Word:

@@ -11,7 +11,7 @@ meet; cubic vectors embed the rotation lattice into the box
 from __future__ import annotations
 
 from .errors import ValidationError
-from .permutree import DOWNISH, Permutree, _tree_from_pairs, as_decoration, rotation_lattice
+from .permutree import DOWNISH, UPISH, Permutree, _tree_from_pairs, as_decoration, rotation_lattice
 from .weak_order import cotransitivity_witness, transitivity_witness
 
 
@@ -41,12 +41,12 @@ def validate_inversion_set(pairs, delta):
     for j in range(2, n):
         for i in range(1, j):
             for k in range(j + 1, n + 1):
-                if delta[j] in "dx" and (i, j) not in pairs and (j, k) in pairs:
+                if delta[j] in DOWNISH and (i, j) not in pairs and (j, k) in pairs:
                     if (i, k) in pairs:
                         raise ValidationError(
                             f"condition 3 fails at delta_{j}={delta[j]}", witness=(i, j, k)
                         )
-                if delta[j] in "ux" and (i, j) in pairs and (j, k) not in pairs:
+                if delta[j] in UPISH and (i, j) in pairs and (j, k) not in pairs:
                     if (i, k) in pairs:
                         raise ValidationError(
                             f"condition 4 fails at delta_{j}={delta[j]}", witness=(i, j, k)

@@ -21,6 +21,7 @@ from . import permutree as pt
 from . import s_weak_order as sw
 from . import vectors as vec
 from . import weak_order as wo
+from .errors import ValidationError
 from .posets import isomorphic_via
 
 
@@ -394,12 +395,10 @@ def criterion_9(level="full"):
         if n < 2:
             continue
         eps = og.default_epsilon(s)
-        graph = og.build_oru(s)
-        rs = fl.routes(graph)
-        heights = {r: og.oruga_height(r, s, eps) for r in rs}
-        if not fl.is_admissible(graph, heights, all_routes=rs):
-            return _result(9, "tropical realization", False, f"admissibility {s}")
-        R = og.realize(s, eps)  # validates scalars and directions edge by edge
+        try:
+            R = og.realize(s, eps)  # checks admissibility, then scalars and directions
+        except ValidationError as exc:
+            return _result(9, "tropical realization", False, f"admissibility {s}: {exc.witness}")
         if len(R.vertices) != sw.count_s_trees(s):
             return _result(9, "tropical realization", False, f"vertex count {s}")
         cs = R.coordinate_sum()

@@ -14,7 +14,7 @@ from itertools import permutations as _permutations
 
 from .caps import require_cap
 from .errors import ValidationError
-from .posets import Hasse
+from .posets import Hasse, hasse_by_bfs
 
 Perm = tuple
 
@@ -249,24 +249,16 @@ def avoids_fixed_pattern(pi, j, kind) -> bool:
     n = len(pi)
     if not 2 <= j <= n - 1:
         raise ValidationError(f"j={j} outside [2, {n - 1}]")
+    if kind not in ("jki", "kij"):
+        raise ValidationError(f"unknown pattern kind {kind!r}")
     pos_j = pi.index(j)
-    if kind == "jki":
-        seen_big = False
-        for v in pi[pos_j + 1 :]:
-            if v > j:
-                seen_big = True
-            elif v < j and seen_big:
-                return False
-        return True
-    if kind == "kij":
-        seen_big = False
-        for v in pi[:pos_j]:
-            if v > j:
-                seen_big = True
-            elif v < j and seen_big:
-                return False
-        return True
-    raise ValidationError(f"unknown pattern kind {kind!r}")
+    seen_big = False
+    for v in pi[pos_j + 1 :] if kind == "jki" else pi[:pos_j]:
+        if v > j:
+            seen_big = True
+        elif v < j and seen_big:
+            return False
+    return True
 
 
 def all_perms(n):
@@ -275,13 +267,10 @@ def all_perms(n):
 
 def weak_order_hasse(n) -> Hasse:
     """Hasse diagram of the weak order: sigma covers pi iff sigma = pi o s_i adds an inversion."""
-    elems = sorted(all_perms(n))
-    covers = []
-    for pi in elems:
-        for i in range(1, n):
-            if pi[i - 1] < pi[i]:
-                covers.append((pi, right_mult(pi, i)))
-    return Hasse(elems, covers)
+    return hasse_by_bfs(
+        identity(n),
+        lambda pi: [right_mult(pi, i) for i in range(1, n) if pi[i - 1] < pi[i]],
+    )
 
 
 def serialize(pi) -> str:

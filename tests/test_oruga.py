@@ -8,6 +8,7 @@ import pytest
 from permutree_lab import flows as fl
 from permutree_lab import oruga as og
 from permutree_lab import s_weak_order as sw
+from permutree_lab import verify
 from permutree_lab.errors import ValidationError
 from permutree_lab.posets import isomorphic_via
 
@@ -259,6 +260,15 @@ def test_realize_counts_and_hyperplane():
 def test_realize_rejects_huge_epsilon():
     with pytest.raises(ValidationError):
         og.realize((1, 2, 2), Fraction(1, 2))
+
+
+def test_criterion_9_reports_the_refusal(monkeypatch):
+    # criterion 9 leaves the admissibility check to `realize` and reports
+    # its refusal with the violated conflict
+    monkeypatch.setattr(og, "default_epsilon", lambda s: Fraction(10))
+    result = verify.criterion_9(level="quick")
+    assert not result["ok"]
+    assert result["detail"].startswith("admissibility (1, 1, 2): ((('e', 3, 1),")
 
 
 def test_zonotope_support():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutree_lab import permutree as pt
 from permutree_lab import weak_order as wo
@@ -194,10 +196,70 @@ def test_edge_cuts_under_rotation():
 
 
 def test_json_roundtrip():
-    tree = pt.insert((5, 7, 4, 1, 3, 2, 6), "dunxndd")
-    again = pt.permutree_from_json(tree.to_json())
-    assert again == tree
-    assert again.parents == tree.parents
+    trees = [pt.insert((5, 7, 4, 1, 3, 2, 6), "dunxndd")]
+    for n in range(1, 6):
+        for d in pt.normalized_decorations(n):
+            trees += pt.rotation_lattice(d).elements
+    assert len(trees) == 2952  # every tree with n <= 5, and the figure's
+    for tree in trees:
+        again = pt.permutree_from_json(tree.to_json())
+        assert (again.children, again.parents) == (tree.children, tree.parents)
+
+
+@pytest.mark.parametrize(
+    "data, witness",
+    [
+        # nodes 1 and 2 are each other's child: no linear extension
+        ({"n": 3, "delta": "nnn", "children": [{"D": 2}, {"D": 1}, {"D": None}]}, None),
+        # the same cycle beside ten free nodes; the search stops at once
+        ({"n": 12, "delta": "n" * 12, "children": [{"D": 2}, {"D": 1}] + [{"D": None}] * 10}, None),
+        # a child outside [n], and a down slot without its 'LD'/'RD' keys
+        ({"n": 3, "delta": "nnn", "children": [{"D": 7}, {"D": None}, {"D": None}]}, None),
+        ({"n": 3, "delta": "ndn", "children": [{"D": None}, {"D": 1}, {"D": None}]}, None),
+        # node 2 holds 4 in its left child slot and 1 in its right one
+        (
+            {
+                "n": 4,
+                "delta": "ndnn",
+                "children": [{"D": None}, {"LD": 4, "RD": 1}, {"D": 2}, {"D": None}],
+            },
+            2,
+        ),
+    ],
+)
+def test_from_json_refuses_non_permutrees(data, witness):
+    with pytest.raises(ValidationError) as info:
+        pt.permutree_from_json(data)
+    assert info.value.witness == witness
+
+
+def test_rotate_refuses_unmirrored_slots():
+    # the chain 1 -> 2 -> 3 -> 4 in the child slots, but 4 in node 2's parent slot
+    children = ((None,), (1,), (2,), (3,))
+    parents = ((2,), (4,), (4,), (None,))
+    bad = pt.Permutree(4, pt.Decoration("nnnn"), children, parents)
+    with pytest.raises(ValidationError, match="mirror") as info:
+        pt.rotate(bad, (1, 2))
+    assert info.value.witness == (1, 2)
+
+
+@st.composite
+def _decorated_perms(draw):
+    n = draw(st.integers(1, 12))
+    pi = tuple(draw(st.permutations(range(1, n + 1))))
+    return pi, pt.Decoration(draw(st.text("ndux", min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decorated_perms())
+def test_insert_property(case):
+    pi, d = case
+    tree = pt.insert(pi, d)
+    place = {v: k for k, v in enumerate(pi)}
+    for v in range(1, len(pi) + 1):
+        assert all(place[c] < place[v] for c in tree.children[v - 1] if c is not None)
+    again = pt.insert(pt.linear_extensions(tree, limit=1)[0], d)
+    assert (again.children, again.parents) == (tree.children, tree.parents)
 
 
 def test_updown_sections():

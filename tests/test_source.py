@@ -22,6 +22,30 @@ def test_no_bare_asserts():
     assert found == []
 
 
+def _unbounded_cache(decorator):
+    """`cache`, `lru_cache(maxsize=None)` or `lru_cache(None)`, with or
+    without the `functools.` prefix."""
+    text = ast.unparse(decorator).removeprefix("functools.")
+    return text in ("cache", "lru_cache(maxsize=None)", "lru_cache(None)")
+
+
+def test_no_unbounded_module_caches():
+    """No module-level function memoizes without bound for the life of the
+    process; a memo local to one call is the pattern to use instead."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(_unbounded_cache(d) for d in node.decorator_list)
+        ]
+    assert found == []
+
+
 def test_benchmark_selftest():
     """The benchmark's own tests pass, among them that the workloads reach
     every library function the tracer wraps, so a renamed or unreached
