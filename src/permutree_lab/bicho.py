@@ -14,6 +14,7 @@ from bisect import bisect_left
 from math import factorial
 
 from . import flows as fl
+from .caps import require_cap
 from .errors import ValidationError
 from .permutree import (
     DOWNISH,
@@ -301,16 +302,22 @@ def _inner_sum(section, memo) -> int:
     return total
 
 
-def check_conjectures(delta) -> dict:
+def check_conjectures(delta, cap=None) -> dict:
     """Evaluate both conjectured recursions on exact flow counts.
 
     Conjecture 1 applies to {none, down} decorations; conjecture 2 multiplies
     the same inner sum over the updown sections, flipping each 'u' to 'd'
     inside a section first (the flow counts are invariant under that swap;
     the swap instances are reported as witnesses).  Results are reported,
-    never asserted as theorems.
+    never asserted as theorems.  The (root, J) terms of the inner sums,
+    #d * 2^#n per sum, are checked against the cap `conjecture_terms` first.
     """
     delta = as_decoration(delta)
+    nd = set(delta.symbols) <= {"n", "d"}
+    sections = updown_sections(delta)
+    swapped = [tuple("d" if c == "u" else c for c in sec) for sec in sections]
+    sums = swapped + ([delta.symbols] if nd else [])
+    require_cap("conjecture_terms", sum(sec.count("d") << sec.count("n") for sec in sums), cap)
     lhs = count_d_flows(delta)
     memo = {}
     report = {
@@ -323,14 +330,12 @@ def check_conjectures(delta) -> dict:
     }
     if delta.n <= 6:
         report["counts"]["cliques"] = len(fl.max_cliques(build_bic(delta)))
-    if set(delta.symbols) <= {"n", "d"}:
+    if nd:
         rhs = _inner_sum(delta.symbols, memo)
         report["conjecture_1"] = "PASS" if rhs == lhs else "FAIL"
         report["conjecture_1_rhs"] = rhs
     else:
         report["conjecture_1"] = "N/A"
-    sections = updown_sections(delta)
-    swapped = [tuple("d" if c == "u" else c for c in sec) for sec in sections]
     rhs2 = 1
     for sec in swapped:
         rhs2 *= _inner_sum(sec, memo)

@@ -15,6 +15,8 @@ DEFAULT_CAPS = {
     "realize_vertices": 5040,
     "routes": 65536,
     "lidskii_terms": 1_000_000,
+    "permutree_count_sections": 10_000,
+    "conjecture_terms": 65_536,
 }
 
 

@@ -5,7 +5,7 @@ identities}, flows {routes|cliques|kostant|volume}, bicho {build|verify|
 conjectures}, verify {all|<module>}.  Exit status 0 on success, 1 on
 validation and usage errors, 2 on resource-cap refusals.  With --json the
 output is machine-readable and byte-stable; rationals appear as {num, den}
-pairs unless --approx asks for decimals.
+pairs unless --approx (`sorder realize` only) asks for decimals.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def cmd_permutree(args):
         delta = pt.Decoration(args.delta)
         if args.n and args.n != delta.n:
             raise ValidationError(f"--n {args.n} contradicts --delta of size {delta.n}")
-        _emit({"delta": str(delta), "count": pt.count_permutrees(delta)}, args)
+        _emit({"delta": str(delta), "count": pt.count_permutrees(delta, cap=args.cap)}, args)
     elif args.verb == "lattice":
         lat = pt.rotation_lattice(pt.Decoration(args.delta), cap=args.cap)
         _emit(pt.lattice_to_json(lat), args)
@@ -178,7 +178,7 @@ def cmd_sorder(args):
         real = og.realize(s, eps, cap=args.cap)
         _emit(real.to_json(approx=args.approx), args)
     elif args.verb == "identities":
-        _emit(og.lidskii_identities(s), args)
+        _emit(og.lidskii_identities(s, cap=args.cap), args)
 
 
 def cmd_flows(args):
@@ -220,7 +220,7 @@ def cmd_bicho(args):
         if not ok:
             sys.exit(1)
     elif args.verb == "conjectures":
-        _emit(bi.check_conjectures(delta), args)
+        _emit(bi.check_conjectures(delta, cap=args.cap), args)
 
 
 def cmd_verify(args):
@@ -259,7 +259,6 @@ def build_parser():
     def common(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--cap", type=int, default=None, help="override size caps")
-        sp.add_argument("--approx", type=int, default=None, help="decimal digits for rationals")
 
     tree = sub.add_parser("permutree", help="permutree lattices and sorting")
     tree.add_argument("verb", choices=["count", "lattice", "insert", "sort"])
@@ -275,6 +274,7 @@ def build_parser():
     sord.add_argument("verb", choices=["count", "hasse", "realize", "identities"])
     sord.add_argument("--s", required=True, help="comma-separated composition")
     sord.add_argument("--epsilon", default=None, help="exact rational, e.g. 1/100")
+    sord.add_argument("--approx", type=int, default=None, help="decimal digits for rationals")
     common(sord)
     sord.set_defaults(func=cmd_sorder)
 

@@ -387,14 +387,16 @@ def _multiset_binom(m, k) -> int:
     return _gbinom(m + k - 1, k)
 
 
-def lidskii_identities(s) -> dict:
+def lidskii_identities(s, cap=None) -> dict:
     """Both decomposition formulas for the number of s-decreasing trees.
 
     The sums run over weak compositions j of n-1 dominating (1, ..., 1);
-    the second formula can carry negative terms yet totals the same.
+    the second formula can carry negative terms yet totals the same.  The
+    number of terms is checked against the cap `lidskii_terms` first.
     """
     s = check_composition(s)
     n = len(s)
+    require_cap("lidskii_terms", fl.count_dominance_compositions(n - 1, n - 1, (1,) * (n - 1)), cap)
     lhs = count_s_trees(s)
     rhs1 = rhs2 = 0
     for j in fl.dominance_compositions(n - 1, n - 1, (1,) * (n - 1)):

@@ -412,20 +412,36 @@ def rotation_lattice(delta, cap=None) -> Hasse:
     )
 
 
-def count_permutrees(delta) -> int:
+def count_permutrees(delta, cap=None) -> int:
     """Number of delta-permutrees.
 
     Updown positions cut the count into independent sections and each up may
     be flipped to a down without changing it; inside a section the recursion
     strips the topmost node (a chain of 'n' roots, then a 'd' root splitting
-    by labels).
+    by labels).  The memo is bounded against the cap
+    `permutree_count_sections` before the count starts.
     """
     delta = as_decoration(delta)
+    sections = [tuple("d" if c == "u" else c for c in sec) for sec in updown_sections(delta)]
+    require_cap("permutree_count_sections", _memo_bound(sections), cap)
     memo = {}
     total = 1
-    for section in updown_sections(delta):
-        flipped = tuple("d" if c == "u" else c for c in section)
-        total *= _count_section(flipped, memo)
+    for sec in sections:
+        total *= _count_section(sec, memo)
+    return total
+
+
+def _memo_bound(sections) -> int:
+    """Bound on the sub-sections `_count_section` memoizes.  With g_0..g_k the
+    'n' runs between a section's 'd's, each sub-section keeps a range
+    g_i..g_j and some count of each run's 'n's: sum over i <= j of
+    prod_{l=i..j} (g_l + 1)."""
+    total = 0
+    for sec in sections:
+        ending = 0  # the sum over i <= j for the current j
+        for g in map(len, "".join(sec).split("d")):
+            ending = (ending + 1) * (g + 1)
+            total += ending
     return total
 
 

@@ -3,11 +3,13 @@
 Elements are arbitrary hashable values.  Order, meets and joins are computed
 from cover reachability alone, so a `Hasse` instance serves as the brute-force
 oracle against which the constructive lattice operations are checked.
-Down-sets and up-sets are kept as integer bitmasks whose bits follow a linear
-extension, so the highest bit of a down-set is one of its maximal members.
+Down-sets are bitmasks along a linear extension, built on the first order
+query: a meet is one AND and one highest-bit test, and a join scans them.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -24,9 +26,9 @@ class Hasse:
         for a, b in self.covers:
             self._up[a].append(b)
             self._dn[b].append(a)
-        # Kahn's algorithm: `order` lists the indices along a linear extension.
+        # Kahn's algorithm: `_order` lists the indices along a linear extension.
         pending = [len(lo) for lo in self._dn]
-        order = [i for i in range(m) if not pending[i]]
+        order = self._order = [i for i in range(m) if not pending[i]]
         for i in order:
             for j in self._up[i]:
                 pending[j] -= 1
@@ -34,13 +36,17 @@ class Hasse:
                     order.append(j)
         if len(order) != m:
             raise ValidationError("the cover relation has a cycle")
-        # Bit p of down[i] is the p-th element of the extension, of up[i] the
-        # p-th from its end: the highest bit of a down-set is a maximal member
-        # and the highest bit of an up-set a minimal one.
-        self._at_down, self._at_up = order, order[::-1]
-        self.down = _reach(self._at_down, self._dn)
-        self.up = _reach(self._at_up, self._up)
-        self.pos = [d.bit_length() - 1 for d in self.down]  # place in `order`
+
+    @cached_property
+    def down(self):
+        """Bit p of down[i] is set iff `_order[p]` is i or lies below it."""
+        down = [0] * len(self._order)
+        for p, i in enumerate(self._order):
+            acc = 1 << p
+            for j in self._dn[i]:
+                acc |= down[j]
+            down[i] = acc
+        return down
 
     def __len__(self):
         return len(self.elements)
@@ -49,7 +55,8 @@ class Hasse:
         return x in self.index
 
     def leq(self, x, y):
-        return bool(self.down[self.index[y]] >> self.pos[self.index[x]] & 1)
+        down = self.down
+        return bool(down[self.index[y]] >> (down[self.index[x]].bit_length() - 1) & 1)
 
     def minimum(self):
         bots = [x for i, x in enumerate(self.elements) if not self._dn[i]]
@@ -61,25 +68,30 @@ class Hasse:
 
     def meet(self, x, y):
         """Greatest lower bound, or None if it does not exist."""
-        return self._greatest(self.down, self._at_down, x, y)
+        # The highest bit of `common` is a maximal member, and the meet exists
+        # iff that member's down-set is all of `common` (never when it is 0).
+        down = self.down
+        common = down[self.index[x]] & down[self.index[y]]
+        k = self._order[common.bit_length() - 1]
+        return self.elements[k] if down[k] == common else None
 
     def join(self, x, y):
-        """Least upper bound, or None if it does not exist."""
-        return self._greatest(self.up, self._at_up, x, y)
-
-    def _greatest(self, masks, at, x, y):
-        # The highest bit of `common` is a maximal member, and the bound exists
-        # iff that member's mask is all of `common` (never when it is 0).
-        common = masks[self.index[x]] & masks[self.index[y]]
-        k = at[common.bit_length() - 1]
-        return self.elements[k] if masks[k] == common else None
+        """Least upper bound, or None: the upper bound placed first in the
+        order (the smallest down-set holding x and y), if every other holds it."""
+        down = self.down
+        both = down[self.index[x]] | down[self.index[y]]
+        ups = [d for d in down if d | both == d]
+        least = min(ups, default=None)
+        if least is None or any(d | least != d for d in ups):
+            return None
+        return self.elements[self._order[least.bit_length() - 1]]
 
     def is_lattice(self):
         """Every pair has a meet and a join: for a finite non-empty poset,
         there is a top and every pair has a meet."""
         if self.elements and self.maximum() is None:
             return False
-        down, at = self.down, self._at_down
+        down, at = self.down, self._order
         for i, dx in enumerate(down):
             for dy in down[i + 1 :]:
                 common = dx & dy
@@ -97,18 +109,6 @@ class Hasse:
         nodes = [key(x) for x in self.elements]
         edges = sorted([key(self.elements[a]), key(self.elements[b])] for a, b in self.covers)
         return {"nodes": sorted(nodes), "edges": edges}
-
-
-def _reach(order, adj):
-    """mask[i] has bit p set iff order[p] is i or is reached from i through
-    `adj`, whose arcs all point to earlier places in `order`."""
-    mask = [0] * len(order)
-    for p, i in enumerate(order):
-        acc = 1 << p
-        for j in adj[i]:
-            acc |= mask[j]
-        mask[i] = acc
-    return mask
 
 
 def hasse_by_bfs(bottom, up_covers, key=None) -> Hasse:

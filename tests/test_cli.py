@@ -168,6 +168,9 @@ def test_exit_codes(capsys, tmp_path):
         ("realize_vertices", ("sorder", "realize", "--s", "2,2,2,2,2,2,2")),
         ("routes", ("flows", "routes", "--delta", "n" * 25)),
         ("lidskii_terms", ("flows", "volume", "--delta", "n" * 16)),
+        ("permutree_count_sections", ("permutree", "count", "--delta", "n" + "dnnn" * 8 + "n")),
+        ("conjecture_terms", ("bicho", "conjectures", "--delta", "n" * 15 + "d" + "n" * 5)),
+        ("lidskii_terms", ("sorder", "identities", "--s", ",".join("1" * 15))),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -179,6 +182,9 @@ def test_exit_codes(capsys, tmp_path):
         ("sorder", "realize"),
         ("sorder", "count", "--s", "1,2", "--nope"),
         ("permutree", "count", "--delta", "nnn", "--n", "x"),
+        ("permutree", "count", "--delta", "nnn", "--approx", "3"),  # `sorder realize` only
+        ("flows", "routes", "--s", "1,2,1", "--approx", "3"),
+        ("bicho", "build", "--delta", "nnn", "--approx", "3"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -208,6 +214,15 @@ def test_cap_flag_overrides(capsys):
     assert code == 2 and "lidskii_terms: requested size 14 exceeds cap 13" in err
     code, out, _ = run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--cap", "14", "--json")
     assert code == 0 and out == run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--json")[1]
+    for argv, cap, size, key, value in [
+        (("permutree", "count", "--delta", "nddn"), "permutree_count_sections", 13, "count", 14),
+        (("bicho", "conjectures", "--delta", "nddn"), "conjecture_terms", 16, "conjecture_2", "PASS"),
+        (("sorder", "identities", "--s", "1,2,2"), "lidskii_terms", 2, "equal", True),
+    ]:
+        code, _, err = run_cli(capsys, *argv, "--cap", str(size - 1))
+        assert code == 2 and f"{cap}: requested size {size} exceeds cap {size - 1}" in err, argv
+        code, out, _ = run_cli(capsys, *argv, "--cap", str(size), "--json")
+        assert code == 0 and json.loads(out)[key] == value, argv
 
 
 def test_verify_quick(capsys):

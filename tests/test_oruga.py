@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutree_lab import flows as fl
 from permutree_lab import oruga as og
@@ -71,6 +73,32 @@ def test_tree_flow_roundtrip_weak(s):
         assert sw.bumps_to_tree(bumps, s) == t
         seen.add(tuple(sorted(bumps.items())))
     assert len(seen) == len(trees) == sw.count_s_trees(s)
+
+
+@st.composite
+def _bump_words(draw):
+    """A strict composition s with |s| <= 20, a bump vector b and the word of b."""
+    s = [1]
+    for cut in draw(st.lists(st.booleans(), max_size=19)):
+        if cut:
+            s.append(1)
+        else:
+            s[-1] += 1
+    s = tuple(s)
+    b = {v: draw(st.integers(0, sum(s[v:]))) for v in range(1, len(s))}
+    return s, b, sw.bumps_to_word(b, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bump_words())
+def test_word_flow_tree_roundtrips(case):
+    s, b, w = case
+    assert sw.check_word(w, s) == w
+    assert og.flow_to_word(og.word_to_flow(w, s), s) == w
+    assert sw.tree_to_word(sw.word_to_tree(w, s), s) == w
+    assert sw.word_to_tree(w, s) == sw.bumps_to_tree(b, s)
+    assert og.tree_to_flow(sw.word_to_tree(w, s), s) == b
+    assert sw.word_from_multiset(sw.inversion_multiset(w, s), s) == w
 
 
 def test_zero_flow_left_comb():

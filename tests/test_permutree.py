@@ -137,6 +137,24 @@ def test_count_matches_fibers():
     assert pt.count_permutrees(pt.Decoration("n" * 6)) == 720
 
 
+def test_count_memo_bound():
+    """The `permutree_count_sections` size bounds the memo the count fills."""
+    seen = 0
+    for n in range(1, 10):
+        for d in pt.normalized_decorations(n):
+            sections = [tuple("d" if c == "u" else c for c in s) for s in pt.updown_sections(d)]
+            memo = {}
+            for sec in sections:
+                pt._count_section(sec, memo)
+            assert len(memo) <= pt._memo_bound(sections), d
+            seen += 1
+    assert seen == 21846
+    slow = pt.Decoration("n" + "dnnn" * 8 + "n")
+    assert pt._memo_bound(pt.updown_sections(slow)) == 345871
+    with pytest.raises(ResourceCapError, match="permutree_count_sections"):
+        pt.count_permutrees(slow)
+
+
 def test_tamari_rotation_oracle():
     # down^n permutree rotations match classical binary-tree covers: compare
     # the cover relations through the independent bracket-vector moves

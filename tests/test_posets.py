@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutree_lab.errors import ValidationError
-from permutree_lab.posets import Hasse
+from permutree_lab.permutree import rotation_lattice
+from permutree_lab.posets import Hasse, isomorphic_via
 
 
 def closure(n, rel):
@@ -114,3 +115,15 @@ def test_cyclic_covers_raise():
         Hasse("abc", [("a", "b"), ("b", "c"), ("c", "a")])
     with pytest.raises(ValidationError):
         Hasse("ab", [("a", "a"), ("a", "b")])
+
+
+def test_masks_are_built_on_the_first_order_query():
+    H = rotation_lattice("nnnnnnn")
+    assert len(H) == 5040
+    bottom, top = H.minimum(), H.maximum()
+    assert len(H.cover_pairs()) == len(H.covers) and H.up_covers(top) == []
+    assert len(H.to_json()["nodes"]) == 5040
+    assert isomorphic_via(H, H, {x: x for x in H.elements})
+    assert "down" not in vars(H)
+    assert H.leq(bottom, top) and not H.leq(top, bottom)
+    assert len(vars(H)["down"]) == 5040
