@@ -17,6 +17,7 @@ DEFAULT_CAPS = {
     "lidskii_terms": 1_000_000,
     "permutree_count_sections": 10_000,
     "conjecture_terms": 65_536,
+    "kostant_states": 100_000,
 }
 
 

@@ -198,7 +198,7 @@ def cmd_flows(args):
         )
     elif args.verb == "kostant":
         a = _netflow_from_args(graph, args.netflow)
-        _emit({"netflow": list(a), "kostant": fl.kostant(graph, a)}, args)
+        _emit({"netflow": list(a), "kostant": fl.kostant(graph, a, cap=args.cap)}, args)
     elif args.verb == "volume":
         a = _netflow_from_args(graph, args.netflow)
         _emit({"netflow": list(a), "volume": fl.lidskii_volume(graph, a, cap=args.cap)}, args)

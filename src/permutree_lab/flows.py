@@ -350,8 +350,9 @@ def integer_flows(graph, a):
     return flows
 
 
-def kostant(graph, a) -> int:
-    """Number of integer a-flows, by a layered DP over pending supplies."""
+def kostant(graph, a, cap=None) -> int:
+    """Number of integer a-flows, by a layered DP over pending supplies;
+    refuses once a layer's table of supplies outgrows `kostant_states`."""
     a = check_netflow(graph, a)
     n = graph.n
     heads = {
@@ -396,6 +397,7 @@ def kostant(graph, a) -> int:
                     )
 
             spread(0, need, 1, [])
+            require_cap("kostant_states", len(nxt), cap)
         states = nxt
     return sum(states.values())
 

@@ -74,7 +74,6 @@ def oru_route(s, k, t, bits):
 
 def route_params(route, s):
     """Inverse of `oru_route`: recover (k, t, bits)."""
-    s = check_composition(s, strict=True)
     _, k, t = route[0]
     bits = [0] * (k - 1)
     for _, a, ta in route[1:]:

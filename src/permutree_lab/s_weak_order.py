@@ -9,7 +9,7 @@ counting occurrences of c before the a-block.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .caps import require_cap
 from .errors import ValidationError
@@ -19,10 +19,11 @@ Word = tuple
 
 
 def check_composition(s, strict=False):
-    s = tuple(int(x) for x in s)
-    if any(x < 0 for x in s):
+    s = tuple(map(int, s))
+    low = min(s, default=1)
+    if low < 0:
         raise ValidationError(f"composition entries must be >= 0: {s}")
-    if strict and any(x == 0 for x in s):
+    if strict and low == 0:
         raise ValidationError(f"operation needs a strict composition (no zeros): {s}")
     return s
 
@@ -157,10 +158,8 @@ def check_word(w, s) -> Word:
     # 121-avoidance: once a letter's block is left it never returns
     last = {}
     for k, v in enumerate(w):
-        if v in last:
-            for u in w[last[v] + 1 : k]:
-                if u > v:
-                    raise ValidationError(f"word contains the pattern 121 at letter {v}")
+        if v in last and max(w[last[v] : k]) > v:
+            raise ValidationError(f"word contains the pattern 121 at letter {v}")
         last[v] = k
     return w
 
@@ -194,35 +193,35 @@ def inversion_multiset(w, s):
     >>> inversion_multiset((3,3,7,2,5,4,5,5,7,1,6), (1,1,2,1,3,1,2))[(7, 2)]
     1
     """
-    w = check_word(w, s)
-    n = len(s)
-    first = blocks(w)
+    return _inversions(check_word(w, s), len(s))
+
+
+def _inversions(w, n):
+    """`inversion_multiset` of a checked word in one pass: at the first a,
+    copy the running count of every c > a."""
+    counts = [0] * (n + 1)
     out = {}
-    for a in range(1, n):
-        start = first[a][0]
-        prefix = w[:start]
-        for c in range(a + 1, n + 1):
-            out[(c, a)] = sum(1 for v in prefix if v == c)
+    for a in w:
+        if not counts[a]:
+            for c in range(a + 1, n + 1):
+                out[(c, a)] = counts[c]
+        counts[a] += 1
     return out
 
 
 def transitivity_ok(m, s):
-    n = len(s)
-    for a in range(1, n - 1):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n + 1):
-                if m[(b, a)] != 0 and m[(c, a)] < m[(c, b)]:
-                    return (a, b, c)
+    """The first a < b < c with |(b, a)| > 0 and |(c, a)| < |(c, b)|, or None."""
+    for a, b, c in combinations(range(1, len(s) + 1), 3):
+        if m[(b, a)] != 0 and m[(c, a)] < m[(c, b)]:
+            return (a, b, c)
     return None
 
 
 def planarity_ok(m, s):
-    n = len(s)
-    for a in range(1, n - 1):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n + 1):
-                if m[(b, a)] != s[b - 1] and m[(c, b)] < m[(c, a)]:
-                    return (a, b, c)
+    """The first a < b < c with |(b, a)| < s_b and |(c, b)| < |(c, a)|, or None."""
+    for a, b, c in combinations(range(1, len(s) + 1), 3):
+        if m[(b, a)] != s[b - 1] and m[(c, b)] < m[(c, a)]:
+            return (a, b, c)
     return None
 
 
@@ -288,15 +287,22 @@ def bumps_to_tree(bumps, s):
 
 
 def word_from_multiset(m, s) -> Word:
-    """Decode a valid inversion multiset: bump counts are its column sums."""
-    s = check_composition(s, strict=True)
+    """Decode an inversion multiset, refusing one no word has."""
+    return _decode(m, check_composition(s, strict=True))
+
+
+def _decode(m, s):
+    """Decode by the column sums, which are the bump counts, and check the
+    round trip; only a refusal runs `validate_multiset`, to name the fault."""
     n = len(s)
+    try:
+        w = bumps_to_word({a: sum(m[(c, a)] for c in range(a + 1, n + 1)) for a in range(1, n)}, s)
+        if _inversions(w, n) == m:
+            return w
+    except ValidationError:  # a column sum out of range, so some entry is too
+        pass
     validate_multiset(m, s)
-    bumps = {a: sum(m[(c, a)] for c in range(a + 1, n + 1)) for a in range(1, n)}
-    w = bumps_to_word(bumps, s)
-    if inversion_multiset(w, s) != dict(m):
-        raise ValidationError("multiset does not arise from a Stirling s-permutation")
-    return w
+    raise ValidationError("multiset does not arise from a Stirling s-permutation")
 
 
 def s_leq(w1, w2, s) -> bool:
@@ -318,12 +324,13 @@ def transpose_ascent(w, pair, s) -> Word:
     """
     a, c = pair
     w = check_word(w, s)
-    if (a, c) not in ascents(w):
+    if (a, c) not in zip(w, w[1:]) or not a < c:
         raise ValidationError(f"({a},{c}) is not an ascent of {w}")
-    start, end = blocks(w)[a]
-    if w[end + 1] != c:
+    start = w.index(a)
+    end = w.index(c, start)  # the a-block holds no letter above a
+    if w[end - 1] != a:
         raise AssertionError(f"the {a}-block of {w} is not followed by {c}")
-    return w[:start] + (c,) + w[start : end + 1] + w[end + 2 :]
+    return w[:start] + (c,) + w[start:end] + w[end + 1 :]
 
 
 def a_dependent(w, A, pair, s) -> bool:
@@ -335,46 +342,33 @@ def a_dependent(w, A, pair, s) -> bool:
     """
     a, c = pair
     spans = blocks(w)
-    A = set(A)
-    # b_1: greatest letter < c with B_a inside B_b
     sa, ea = spans[a]
-    cands = [
-        b
-        for b in spans
-        if b < c and spans[b][0] <= sa and ea <= spans[b][1]
-    ]
-    b = max(cands)  # a itself is always a candidate
-    while True:
+    # b_1: greatest letter < c with B_a inside B_b (a itself is one)
+    b = max(b for b, (i, j) in spans.items() if b < c and i <= sa and ea <= j)
+    while spans[b][1] + 1 < len(w):
         end = spans[b][1]
-        if end + 1 >= len(w):
-            return False
         x = w[end + 1]
-        if (b, x) not in A:
+        if (b, x) not in A or not b < x <= c:
             return False
         if x == c:
             return True
-        if not b < x < c:
-            return False
         if spans[x][0] != end + 1:
             return False  # the next letter must open its own block
         b = x
+    return False
 
 
 def tc_closure(m, s):
-    """Generic fixpoint transitive closure of an inversion multiset."""
+    """Transitive closure: |(c, a)| >= |(c, b)| whenever |(b, a)| > 0, in one
+    pass, a from n-2 down to 1 and b upward, so every entry read is final."""
     n = len(s)
     m = dict(m)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(1, n - 1):
-            for b in range(a + 1, n):
-                if m[(b, a)] == 0:
-                    continue
+    for a in range(n - 2, 0, -1):
+        for b in range(a + 1, n):
+            if m[(b, a)]:
                 for c in range(b + 1, n + 1):
                     if m[(c, a)] < m[(c, b)]:
                         m[(c, a)] = m[(c, b)]
-                        changed = True
     return m
 
 
@@ -389,23 +383,21 @@ def add_ascents(w, A, s) -> Word:
     asc = set(ascents(w))
     if not A <= asc:
         raise ValidationError(f"A contains non-ascents: {sorted(A - asc)}")
-    m = inversion_multiset(w, s)
+    m = _inversions(w, len(s))
     out = dict(m)
-    n = len(s)
-    for a in range(1, n):
-        for c in range(a + 1, n + 1):
-            if m[(c, a)] < s[c - 1] and a_dependent(w, A, (a, c), s):
-                out[(c, a)] = m[(c, a)] + 1
-    return word_from_multiset(out, s)
+    for (c, a), k in m.items():
+        if k < s[c - 1] and a_dependent(w, A, (a, c), s):
+            out[(c, a)] = k + 1
+    return _decode(out, s)
 
 
 def add_ascents_fixpoint(w, A, s) -> Word:
     """Oracle for `add_ascents`: increment A, then close under transitivity."""
     w = check_word(w, s)
-    m = inversion_multiset(w, s)
+    m = _inversions(w, len(s))
     for a, c in A:
         m[(c, a)] += 1
-    return word_from_multiset(tc_closure(m, s), s)
+    return _decode(tc_closure(m, s), s)
 
 
 def s_hasse(s, cap=None) -> Hasse:
@@ -419,9 +411,12 @@ def s_hasse(s, cap=None) -> Hasse:
 
 def join_candidate(w1, w2, s):
     """tc of the pointwise max of the inversion multisets; the join when valid."""
-    m1, m2 = inversion_multiset(w1, s), inversion_multiset(w2, s)
-    m = {k: max(m1[k], m2[k]) for k in m1}
-    return tc_closure(m, s)
+    return join_multisets(inversion_multiset(w1, s), inversion_multiset(w2, s), s)
+
+
+def join_multisets(m1, m2, s):
+    """tc of the pointwise max of two inversion multisets."""
+    return tc_closure({k: v if v >= m2[k] else m2[k] for k, v in m1.items()}, s)
 
 
 class SFace:

@@ -175,6 +175,15 @@ def test_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and f"resource cap: {cap}:" in err, argv
+    many_d = "n" + "d" * 11 + "n"  # refused within a layer of the Kostant DP
+    for argv in [
+        ("flows", "kostant", "--delta", many_d, "--netflow", "d"),
+        ("bicho", "verify", "--delta", many_d),
+        ("bicho", "conjectures", "--delta", many_d),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and "resource cap: kostant_states:" in err, argv
     for argv in [  # usage errors: exit 1 like any bad input, not the cap status 2
         (),
         ("bogus",),
@@ -218,6 +227,10 @@ def test_cap_flag_overrides(capsys):
         (("permutree", "count", "--delta", "nddn"), "permutree_count_sections", 13, "count", 14),
         (("bicho", "conjectures", "--delta", "nddn"), "conjecture_terms", 16, "conjecture_2", "PASS"),
         (("sorder", "identities", "--s", "1,2,2"), "lidskii_terms", 2, "equal", True),
+        (
+            ("flows", "kostant", "--delta", "nddddn", "--netflow", "d"),
+            "kostant_states", 42, "kostant", 132,
+        ),
     ]:
         code, _, err = run_cli(capsys, *argv, "--cap", str(size - 1))
         assert code == 2 and f"{cap}: requested size {size} exceeds cap {size - 1}" in err, argv

@@ -1,8 +1,12 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutree_lab import s_weak_order as sw
+from permutree_lab import verify
 from permutree_lab import weak_order as wo
 from permutree_lab.errors import ResourceCapError, ValidationError
 
@@ -62,6 +66,84 @@ def test_inversion_multiset_running_example():
     assert all(mtop[(c, a)] == RUN_S[c - 1] for (c, a) in mtop)
 
 
+def test_inversion_multiset_is_the_prefix_count():
+    # |(c, a)| counts the c's in the prefix before the first a.
+    for s in verify._strict_compositions(7):
+        n = len(s)
+        for w in sw.all_words(s):
+            want = {
+                (c, a): w[: w.index(a)].count(c)
+                for a in range(1, n)
+                for c in range(a + 1, n + 1)
+            }
+            assert sw.inversion_multiset(w, s) == want
+
+
+def _fixpoint_closure(m, s):
+    """The transitive closure by repeating the rule until nothing changes."""
+    n = len(s)
+    m = dict(m)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(1, n - 1):
+            for b in range(a + 1, n):
+                if m[(b, a)] == 0:
+                    continue
+                for c in range(b + 1, n + 1):
+                    if m[(c, a)] < m[(c, b)]:
+                        m[(c, a)] = m[(c, b)]
+                        changed = True
+    return m
+
+
+@st.composite
+def _in_range_multisets(draw):
+    """A strict composition s with n <= 8 and any m with 0 <= |(c, a)| <= s_c."""
+    s = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=8)))
+    n = len(s)
+    m = {
+        (c, a): draw(st.integers(0, s[c - 1]))
+        for a in range(1, n)
+        for c in range(a + 1, n + 1)
+    }
+    return s, m
+
+
+@settings(max_examples=500, deadline=None)
+@given(_in_range_multisets())
+def test_tc_closure_matches_the_fixpoint(case):
+    s, m = case
+    closed = sw.tc_closure(m, s)
+    assert closed == _fixpoint_closure(m, s)
+    assert sw.transitivity_ok(closed, s) is None
+
+
+def test_checks_run_once_where_values_enter(monkeypatch):
+    calls = Counter()
+    for name in ("check_composition", "check_word"):
+
+        def counted(*args, _name=name, _check=getattr(sw, name), **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(sw, name, counted)
+    for s in [(1, 2, 2), (2, 1, 1, 2)]:
+        calls.clear()
+        H = sw.s_hasse(s)
+        # each cover goes through the public `transpose_ascent`, which checks
+        # its word once; the benchmark's tracer counts those calls
+        covers = len(H.covers)
+        assert calls == {"check_composition": 2 + covers, "check_word": covers}
+    calls.clear()
+    sw.add_ascents(RUN_W, {(2, 5), (5, 7), (1, 6)}, RUN_S)
+    assert calls == {"check_composition": 1, "check_word": 1}  # inside check_word
+    m = sw.inversion_multiset(RUN_W, RUN_S)
+    calls.clear()
+    assert sw.word_from_multiset(m, RUN_S) == RUN_W
+    assert calls == {"check_composition": 1}
+
+
 def test_multiset_transitivity_planarity():
     for s in [(1, 2, 1), (1, 2, 2)]:
         for w in sw.all_words(s):
@@ -74,8 +156,11 @@ def test_multiset_transitivity_planarity():
 def test_invalid_multiset_rejected():
     s = (1, 1, 1)
     m = {(2, 1): 1, (3, 1): 0, (3, 2): 1}  # transitivity violated
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="transitivity") as err:
         sw.word_from_multiset(m, s)
+    assert err.value.witness == (1, 2, 3)
+    with pytest.raises(ValidationError, match=r"outside \[0, s_3\]"):
+        sw.word_from_multiset({(2, 1): 0, (3, 1): 2, (3, 2): 0}, s)
 
 
 def test_s_leq():

@@ -1,4 +1,6 @@
 import ast
+import doctest
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,18 @@ def test_no_unbounded_module_caches():
             and any(_unbounded_cache(d) for d in node.decorator_list)
         ]
     assert found == []
+
+
+def test_doctests():
+    """Every example in the library's docstrings runs and gives its output."""
+    failed = attempted = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "permutree_lab" if path.stem == "__init__" else f"permutree_lab.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted >= 13  # the examples are still found
 
 
 def test_benchmark_selftest():
