@@ -10,7 +10,7 @@ DEFAULT_CAPS = {
     "reduced_words_n": 8,
     "rotation_lattice_n": 7,
     "s_hasse_total": 10,
-    "max_cliques_routes": 4096,
+    "max_cliques_routes": 256,
     "generating_tree_n": 7,
     "realize_vertices": 5040,
     "routes": 65536,

@@ -8,6 +8,7 @@ of edge ids.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -126,49 +127,54 @@ def count_routes(graph) -> int:
 
 
 def route_vertices(graph, route):
-    verts = [graph.tail(route[0])]
-    verts.extend(graph.head(e) for e in route)
-    return verts
+    edges = graph.edges
+    return [edges[route[0]][0]] + [edges[e][1] for e in route]
 
 
-def _shared_blocks(graph, p, q):
-    """Maximal shared subroutes, as (entry_edges, exit_edges) around each.
-
-    entry/exit is None at the source/sink ends; inside a block both routes
-    ride the same edges.  One merge walk over the two vertex sequences.
-    """
-    vp, vq = route_vertices(graph, p), route_vertices(graph, q)
+def _blocks(p, q, vp, vq):
+    """Maximal shared subroutes of routes p and q, with vertex sequences vp
+    and vq, as index tuples (si, sj, i, j): the block runs from vp[si] ==
+    vq[sj] to vp[i] == vq[j], both routes riding the same edges in between.
+    Entry edges p[si - 1], q[sj - 1] exist unless si or sj is 0, exit edges
+    p[i], q[j] unless i or j is the route's length.  One merge walk."""
     out = []
     i = j = 0
-    while i < len(vp) and j < len(vq):
+    lp, lq = len(p), len(q)
+    while i <= lp and j <= lq:
         if vp[i] < vq[j]:
             i += 1
-            continue
-        if vq[j] < vp[i]:
+        elif vq[j] < vp[i]:
             j += 1
-            continue
-        start, entry = vp[i], (p[i - 1] if i else None, q[j - 1] if j else None)
-        while i < len(p) and j < len(q) and p[i] == q[j]:
+        else:
+            si, sj = i, j
+            while i < lp and j < lq and p[i] == q[j]:
+                i, j = i + 1, j + 1
+            out.append((si, sj, i, j))
             i, j = i + 1, j + 1
-        exit_ = (p[i] if i < len(p) else None, q[j] if j < len(q) else None)
-        out.append({"start": start, "end": vp[i], "entry": entry, "exit": exit_})
-        i, j = i + 1, j + 1
+    return out
+
+
+def _conflicts(graph, p, q, vp, vq):
+    """The blocks of `_blocks` with entry and exit edges whose entry order
+    disagrees with their exit order, as (si, sj, i, j, din, dout): din and
+    dout are the frame-position differences of the entries and the exits."""
+    out = []
+    for si, sj, i, j in _blocks(p, q, vp, vq):
+        if si and sj and i < len(p) and j < len(q):
+            din = graph.in_pos(p[si - 1]) - graph.in_pos(q[sj - 1])
+            dout = graph.out_pos(p[i]) - graph.out_pos(q[j])
+            if din * dout < 0:
+                out.append((si, sj, i, j, din, dout))
     return out
 
 
 def conflicts(graph, p, q):
     """Shared subroutes where the entry order disagrees with the exit order."""
-    out = []
-    for block in _shared_blocks(graph, p, q):
-        ep, eq = block["entry"]
-        fp, fq = block["exit"]
-        if ep is None or eq is None or fp is None or fq is None:
-            continue
-        din = graph.in_pos(ep) - graph.in_pos(eq)
-        dout = graph.out_pos(fp) - graph.out_pos(fq)
-        if din * dout < 0:
-            out.append(block)
-    return out
+    vp, vq = route_vertices(graph, p), route_vertices(graph, q)
+    return [
+        {"start": vp[si], "end": vp[i], "entry": (p[si - 1], q[sj - 1]), "exit": (p[i], q[j])}
+        for si, sj, i, j, _, _ in _conflicts(graph, p, q, vp, vq)
+    ]
 
 
 def coherent(graph, p, q) -> bool:
@@ -182,41 +188,35 @@ def resolvents(graph, p, q):
     Swaps the tails at the start of each conflict; the edge multiset is
     conserved and both outputs are coherent with each other and with p, q.
     """
-    confl = conflicts(graph, p, q)
+    confl = _conflicts(graph, p, q, route_vertices(graph, p), route_vertices(graph, q))
     if not confl:
         raise ValidationError("routes are not conflicting")
-    starts = [c["start"] for c in confl]
-    cur_p, cur_q = list(p), list(q)
-    for v in starts:
-        ip = next(k for k, e in enumerate(cur_p) if graph.tail(e) == v)
-        iq = next(k for k, e in enumerate(cur_q) if graph.tail(e) == v)
-        cur_p, cur_q = cur_p[:ip] + cur_q[iq:], cur_q[:iq] + cur_p[ip:]
-    p2, q2 = tuple(cur_p), tuple(cur_q)
-    if sorted(map(str, p2 + q2)) != sorted(map(str, p + q)):
+    halves, a, b = ([], []), 0, 0
+    for k, (si, sj, *_) in enumerate(confl + [(len(p), len(q))]):
+        halves[k % 2].extend(p[a:si])
+        halves[1 - k % 2].extend(q[b:sj])
+        a, b = si, sj
+    p2, q2 = map(tuple, halves)
+    if Counter(p2 + q2) != Counter(p + q):
         raise AssertionError("resolvents do not conserve the edge multiset")
     return p2, q2
 
 
 def is_minimal_conflict(graph, p, q) -> bool:
     """One conflict only, with frame-adjacent entry and exit edges."""
-    confl = conflicts(graph, p, q)
-    if len(confl) != 1:
-        return False
-    block = confl[0]
-    ep, eq = block["entry"]
-    fp, fq = block["exit"]
-    return (
-        abs(graph.in_pos(ep) - graph.in_pos(eq)) == 1
-        and abs(graph.out_pos(fp) - graph.out_pos(fq)) == 1
-    )
+    return bool(minimal_conflicts(graph, (p, q)))
 
 
 def minimal_conflicts(graph, all_routes=None):
+    """Route pairs (p, q), p listed before q, with one conflict only, whose
+    entry edges and exit edges are frame-adjacent."""
     rs = routes(graph) if all_routes is None else list(all_routes)
+    verts = [route_vertices(graph, r) for r in rs]
     out = []
-    for p, q in combinations(rs, 2):
-        if is_minimal_conflict(graph, p, q):
-            out.append((p, q))
+    for x, y in combinations(range(len(rs)), 2):
+        confl = _conflicts(graph, rs[x], rs[y], verts[x], verts[y])
+        if len(confl) == 1 and abs(confl[0][4]) == abs(confl[0][5]) == 1:
+            out.append((rs[x], rs[y]))
     return out
 
 
@@ -243,8 +243,9 @@ def dkk_height(route, graph, eps) -> Fraction:
 def is_admissible(graph, height, all_routes=None, witness=False):
     """Strict height drop from every minimal conflict to its resolvents.
 
-    `height` maps routes to exact rationals (dict or callable).  By the
-    minimal-conflict reduction this is equivalent to full admissibility.
+    `height` maps routes to any exactly ordered numbers, such as Fractions
+    or heights scaled to ints (dict or callable).  By the minimal-conflict
+    reduction this is equivalent to full admissibility.
     """
     h = height.__getitem__ if isinstance(height, dict) else height
     for p, q in minimal_conflicts(graph, all_routes):
@@ -259,8 +260,8 @@ def max_cliques(graph, cap=None):
 
     Every output is checked to have |E| - |V| + 2 routes.
     """
+    require_cap("max_cliques_routes", count_routes(graph), cap)
     rs = routes(graph)
-    require_cap("max_cliques_routes", len(rs), cap)
     idx = range(len(rs))
     adj = {i: set() for i in idx}
     for i, j in combinations(idx, 2):
@@ -517,12 +518,10 @@ def orient_adjacent_cliques(graph, c1, c2):
     that enters the (unique, minimal) conflict earlier and leaves it later."""
     (p,) = c1 - c2
     (q,) = c2 - c1
-    block = conflicts(graph, p, q)
+    block = _conflicts(graph, p, q, route_vertices(graph, p), route_vertices(graph, q))
     if len(block) != 1:
         raise AssertionError("adjacent cliques must differ by a single conflict")
-    ep, eq = block[0]["entry"]
-    fp, fq = block[0]["exit"]
-    if graph.in_pos(ep) < graph.in_pos(eq) and graph.out_pos(fp) > graph.out_pos(fq):
+    if block[0][4] < 0 < block[0][5]:  # p enters earlier and leaves later
         return c1, c2
     return c2, c1
 

@@ -241,16 +241,24 @@ def oruga_height(route, s, eps) -> Fraction:
     sums over pairs of route edges instead of levels: on s = (1, 1) at
     eps = 1/10 the all-bump route has height -11/100 here and 0 there.
     """
-    s = check_composition(s, strict=True)
-    eps = Fraction(eps)
+    scales = _scales(len(check_composition(s, strict=True)), Fraction(eps))
+    return Fraction(_scaled_height(route, scales), scales[0])
+
+
+def _scales(n, eps):
+    """eps^d q^n = p^d q^(n-d) for d = 0..n, where eps = p/q > 0; the first is q^n."""
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    t = [ta for _, _, ta in reversed(route)]  # t[a - 1]: edge index at level a
-    total = Fraction(0)
-    for c in range(2, len(t) + 1):
-        for a in range(1, c):
-            total -= eps ** (c - a) * (t[c - 1] + (1 if t[a - 1] else 0)) ** 2
-    return total
+    p, q = eps.numerator, eps.denominator
+    return [p**d * q ** (n - d) for d in range(n + 1)]
+
+
+def _scaled_height(route, scales):
+    """h_eps(R) q^n as an int: `oruga_height` with eps^(c-a) q^n read from
+    `scales` (`_scales(n, eps)`, n = |s|; a route has at most n + 1 levels)."""
+    t = [ta for _, _, ta in reversed(route)]  # t[a]: edge index at level a + 1
+    bit = [1 if ta else 0 for ta in t]
+    return -sum(scales[c - a] * (t[c] + bit[a]) ** 2 for c in range(1, len(t)) for a in range(c))
 
 
 def admissibility_bound(s) -> Fraction:
@@ -312,10 +320,11 @@ class Realization:
 def vertex_coordinates(w, s, hs):
     """v(w)_a: telescoping height differences around each occurrence of a.
 
-    `hs[k]` is the height of the route of the length-k prefix of `w`.
+    `hs[k]` is the height (a Fraction, or an int scaled by q^n) of the route
+    of the length-k prefix of `w`; the coordinates come out in the same kind.
     """
     w = check_word(w, s)
-    coords = [Fraction(0)] * len(s)
+    coords = [0] * len(s)
     for k, v in enumerate(w):
         coords[v - 1] += hs[k] - hs[k + 1]
     return tuple(coords)
@@ -324,14 +333,16 @@ def vertex_coordinates(w, s, hs):
 def realize(s, eps=None, cap=None) -> Realization:
     """Exact vertex/edge data of the s-permutahedron for an admissible eps.
 
-    Refuses inadmissible heights, naming a violated minimal conflict.
+    Refuses inadmissible heights, naming a violated minimal conflict.  For
+    eps = p/q every check runs on heights scaled by q^n to ints.
     """
     s = check_composition(s, strict=True)
     require_cap("realize_vertices", count_s_trees(s), cap)
     eps = default_epsilon(s) if eps is None else Fraction(eps)
+    scales = _scales(len(s), eps)  # scales[0] = q^n
     graph = build_oru(s)
     rs = fl.routes(graph)
-    h = {r: oruga_height(r, s, eps) for r in rs}
+    h = {r: _scaled_height(r, scales) for r in rs}  # h_eps(r) * q^n, exact
     ok, witness = fl.is_admissible(graph, h, all_routes=rs, witness=True)
     if not ok:
         raise ValidationError(
@@ -339,7 +350,7 @@ def realize(s, eps=None, cap=None) -> Realization:
         )
     words = all_words(s)
     prefix_heights = {w: [h[r] for r in prefix_routes(w, s)] for w in words}
-    vertices = {w: vertex_coordinates(w, s, prefix_heights[w]) for w in words}
+    scaled = {w: vertex_coordinates(w, s, prefix_heights[w]) for w in words}
     edges = []
     for w in words:
         spans = blocks(w)
@@ -350,14 +361,12 @@ def realize(s, eps=None, cap=None) -> Realization:
             lam = prefix_heights[w2][start + 1] + hw[end + 1] - hw[start] - hw[end + 2]
             if lam <= 0:
                 raise AssertionError(f"edge scalar not positive at {w} + {(a, c)}")
-            diff = tuple(x - y for x, y in zip(vertices[w2], vertices[w]))
-            want = tuple(
-                lam if i == a else (-lam if i == c else Fraction(0))
-                for i in range(1, len(s) + 1)
-            )
+            diff = tuple(x - y for x, y in zip(scaled[w2], scaled[w]))
+            want = tuple(lam if i == a else (-lam if i == c else 0) for i in range(1, len(s) + 1))
             if diff != want:
                 raise AssertionError(f"edge direction mismatch at {w} + {(a, c)}")
-            edges.append((w, w2, (a, c), lam))
+            edges.append((w, w2, (a, c), Fraction(lam, scales[0])))
+    vertices = {w: tuple(Fraction(x, scales[0]) for x in pt) for w, pt in scaled.items()}
     support = {
         sigma: tuple(v for v in sigma for _ in range(s[v - 1]))
         for sigma in permutations(range(1, len(s) + 1))

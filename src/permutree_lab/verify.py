@@ -267,7 +267,22 @@ def criterion_6(level="full"):
 
 
 def criterion_7(level="full"):
-    """s-weak order: counts, lattice property, DKK dual, A-closure."""
+    """s-weak order: counts, lattice property, DKK dual, A-closure; a ValidationError fails it."""
+    try:
+        return _criterion_7(level)
+    except ValidationError as exc:
+        return _result(7, "s-weak order", False, str(exc))
+
+
+def _closure(fn, w, A, s):
+    """fn(w, A, s), an A-closure; a ValidationError is raised again naming s, w and A."""
+    try:
+        return fn(w, A, s)
+    except ValidationError as exc:
+        raise ValidationError(f"closure s={s} w={w} A={sorted(A)}: {exc}") from exc
+
+
+def _criterion_7(level):
     total_cap = 8 if level == "full" else 5
     rng = random.Random(20230)
     tally = Counter()
@@ -289,14 +304,15 @@ def criterion_7(level="full"):
                 asc = sw.ascents(w)
                 for r in range(len(asc) + 1):
                     for A in combinations(asc, r):
-                        if sw.add_ascents(w, A, s) != sw.add_ascents_fixpoint(w, A, s):
+                        got = _closure(sw.add_ascents, w, A, s)
+                        if got != _closure(sw.add_ascents_fixpoint, w, A, s):
                             return _result(7, "s-weak order", False, f"closure {s} {w} {A}")
         else:
             for _ in range(60):
                 w = words[rng.randrange(len(words))]
                 asc = sw.ascents(w)
                 A = [p for p in asc if rng.random() < 0.5]
-                if sw.add_ascents(w, A, s) != sw.add_ascents_fixpoint(w, A, s):
+                if _closure(sw.add_ascents, w, A, s) != _closure(sw.add_ascents_fixpoint, w, A, s):
                     return _result(7, "s-weak order", False, f"closure {s} {w} {A}")
     s = (1, 1, 2, 1, 3, 1, 2)
     w = (3, 3, 7, 2, 5, 4, 5, 5, 7, 1, 6)
@@ -338,7 +354,7 @@ def _s_lattice_ok(H, s, tally):
             tally["add_ascents_joins"] += len(pairs)
             for p, q in pairs:
                 x, y = sw.transpose_ascent(z, p, s), sw.transpose_ascent(z, q, s)
-                if join(x, y) != sw.add_ascents(z, {p, q}, s):
+                if join(x, y) != _closure(sw.add_ascents, z, {p, q}, s):
                     return False
     if len(H) <= 2000:
         tally["is_lattice"] += 1

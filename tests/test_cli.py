@@ -167,6 +167,8 @@ def test_exit_codes(capsys, tmp_path):
     for cap, argv in [  # refused from a count, before any enumeration
         ("realize_vertices", ("sorder", "realize", "--s", "2,2,2,2,2,2,2")),
         ("routes", ("flows", "routes", "--delta", "n" * 25)),
+        ("max_cliques_routes", ("flows", "cliques", "--s", ",".join("1" * 9))),
+        ("max_cliques_routes", ("flows", "cliques", "--delta", "n" * 25)),
         ("lidskii_terms", ("flows", "volume", "--delta", "n" * 16)),
         ("permutree_count_sections", ("permutree", "count", "--delta", "n" + "dnnn" * 8 + "n")),
         ("conjecture_terms", ("bicho", "conjectures", "--delta", "n" * 15 + "d" + "n" * 5)),

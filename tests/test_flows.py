@@ -16,13 +16,11 @@ def G():
     return fl.example_graph()
 
 
-def doubled_path(n):
-    edges = {}
-    for v in range(n):
-        edges[f"t{v}"] = (v, v + 1)
-        edges[f"u{v}"] = (v, v + 1)
+def doubled_path(n, letters="tu"):
+    """n steps of parallel edges, one per letter, framed in letter order."""
+    edges = {f"{c}{v}": (v, v + 1) for v in range(n) for c in letters}
     framing = {
-        v: {"in": [f"t{v-1}", f"u{v-1}"], "out": [f"t{v}", f"u{v}"]}
+        v: {"in": [f"{c}{v-1}" for c in letters], "out": [f"{c}{v}" for c in letters]}
         for v in range(1, n)
     }
     return fl.FramedGraph(n, edges, framing)
@@ -70,14 +68,72 @@ def reference_blocks(graph, p, q):
     ]
 
 
+def kernel_graphs(G):
+    # three parallel edges give frame positions 2 apart, so entries or exits
+    # can fail to be frame-adjacent on their own
+    graphs = [G, doubled_path(3, "tuv")]
+    graphs += [og.build_oru(s) for s in [(1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]]
+    return graphs + [bi.build_bic(pt.Decoration(d)) for d in ["nxdn", "nudn", "nnnnn"]]
+
+
 def test_shared_blocks_match_definition(G):
-    graphs = [G] + [og.build_oru(s) for s in [(1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]]
-    graphs += [bi.build_bic(pt.Decoration(d)) for d in ["nxdn", "nudn", "nnnnn"]]
-    for graph in graphs:
+    for graph in kernel_graphs(G):
         rs = fl.routes(graph)
         for p in rs:
             for q in rs:
-                assert fl._shared_blocks(graph, p, q) == reference_blocks(graph, p, q)
+                vp, vq = fl.route_vertices(graph, p), fl.route_vertices(graph, q)
+                got = [
+                    {
+                        "start": vp[si],
+                        "end": vp[i],
+                        "entry": (p[si - 1] if si else None, q[sj - 1] if sj else None),
+                        "exit": (p[i] if i < len(p) else None, q[j] if j < len(q) else None),
+                    }
+                    for si, sj, i, j in fl._blocks(p, q, vp, vq)
+                ]
+                assert got == reference_blocks(graph, p, q)
+
+
+def reference_conflicts(graph, p, q):
+    """Blocks with both entries and both exits whose orders disagree."""
+    return [
+        b for b in reference_blocks(graph, p, q)
+        if None not in b["entry"] + b["exit"]
+        and (graph.in_pos(b["entry"][0]) - graph.in_pos(b["entry"][1]))
+        * (graph.out_pos(b["exit"][0]) - graph.out_pos(b["exit"][1])) < 0
+    ]
+
+
+def reference_resolvents(graph, p, q):
+    """Swap the tails of the current pair at each conflict's start vertex."""
+    cur_p, cur_q = list(p), list(q)
+    for block in reference_conflicts(graph, p, q):
+        ip = next(k for k, e in enumerate(cur_p) if graph.tail(e) == block["start"])
+        iq = next(k for k, e in enumerate(cur_q) if graph.tail(e) == block["start"])
+        cur_p, cur_q = cur_p[:ip] + cur_q[iq:], cur_q[:iq] + cur_p[ip:]
+    return tuple(cur_p), tuple(cur_q)
+
+
+def test_conflict_kernel_matches_definition(G):
+    for graph in kernel_graphs(G):
+        rs = fl.routes(graph)
+        minimal = []
+        for p, q in combinations(rs, 2):
+            confl = reference_conflicts(graph, p, q)
+            assert fl.conflicts(graph, p, q) == confl
+            if len(confl) == 1 and all(
+                abs(pos(e) - pos(f)) == 1
+                for pos, (e, f) in ((graph.in_pos, confl[0]["entry"]), (graph.out_pos, confl[0]["exit"]))
+            ):
+                minimal.append((p, q))
+            for a, b in ((p, q), (q, p)):
+                if confl:
+                    assert fl.resolvents(graph, a, b) == reference_resolvents(graph, a, b)
+                else:
+                    with pytest.raises(ValidationError):
+                        fl.resolvents(graph, a, b)
+        assert fl.minimal_conflicts(graph) == minimal
+        assert minimal
 
 
 def test_coherence_structure(G):

@@ -263,17 +263,92 @@ def test_prefix_routes_match_oru_route():
 
 def test_realize_computes_each_height_once(monkeypatch):
     calls = []
-    height = og.oruga_height
+    height = og._scaled_height
 
-    def counted(route, s, eps):
+    def counted(route, scales):
         calls.append(route)
-        return height(route, s, eps)
+        return height(route, scales)
 
-    monkeypatch.setattr(og, "oruga_height", counted)
+    monkeypatch.setattr(og, "_scaled_height", counted)
     for s in [(1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]:
         calls.clear()
         og.realize(s)
         assert len(calls) == len(set(calls)) == len(fl.routes(og.build_oru(s)))
+
+
+def fraction_height(route, eps):
+    """h_eps(R) summed in Fractions, term by term."""
+    t = [ta for _, _, ta in reversed(route)]  # t[a - 1]: edge index at level a
+    total = Fraction(0)
+    for c in range(2, len(t) + 1):
+        for a in range(1, c):
+            total -= eps ** (c - a) * (t[c - 1] + (1 if t[a - 1] else 0)) ** 2
+    return total
+
+
+def realize_oracle(s, eps=None):
+    """`realize` with every height, coordinate and scalar a Fraction: the
+    reference for the version that works on heights scaled to ints."""
+    s = sw.check_composition(s, strict=True)
+    eps = og.default_epsilon(s) if eps is None else Fraction(eps)
+    graph = og.build_oru(s)
+    rs = fl.routes(graph)
+    h = {r: fraction_height(r, eps) for r in rs}
+    assert all(og.oruga_height(r, s, eps) == h[r] for r in rs)
+    ok, witness = fl.is_admissible(graph, h, all_routes=rs, witness=True)
+    if not ok:
+        raise ValidationError(f"eps={eps} is not admissible for s={s}", witness=witness)
+    words = sw.all_words(s)
+    prefix_heights = {w: [h[r] for r in og.prefix_routes(w, s)] for w in words}
+    vertices = {}
+    for w in words:
+        coords = [Fraction(0)] * len(s)
+        for k, v in enumerate(w):
+            coords[v - 1] += prefix_heights[w][k] - prefix_heights[w][k + 1]
+        vertices[w] = tuple(coords)
+    edges = []
+    for w in words:
+        spans = sw.blocks(w)
+        hw = prefix_heights[w]
+        for (a, c) in sw.ascents(w):
+            w2 = sw.transpose_ascent(w, (a, c), s)
+            start, end = spans[a]
+            lam = prefix_heights[w2][start + 1] + hw[end + 1] - hw[start] - hw[end + 2]
+            assert lam > 0
+            diff = tuple(x - y for x, y in zip(vertices[w2], vertices[w]))
+            want = tuple(
+                lam if i == a else (-lam if i == c else Fraction(0))
+                for i in range(1, len(s) + 1)
+            )
+            assert diff == want
+            edges.append((w, w2, (a, c), lam))
+    support = {
+        sigma: tuple(v for v in sigma for _ in range(s[v - 1]))
+        for sigma in permutations(range(1, len(s) + 1))
+    }
+    return og.Realization(s, eps, vertices, edges, support)
+
+
+def test_realize_matches_the_fraction_oracle():
+    for total in range(1, 7):
+        for s in _compositions(total):
+            R, want = og.realize(s), realize_oracle(s)
+            assert R.to_json() == want.to_json(), s
+            assert R.edges == want.edges, s
+            assert R.support == want.support, s
+    # at eps = 1 both refuse the same compositions, naming the same conflict
+    refused = 0
+    for total in range(1, 6):
+        for s in _compositions(total):
+            outcomes = []
+            for build in (og.realize, realize_oracle):
+                try:
+                    outcomes.append(build(s, 1).to_json())
+                except ValidationError as exc:
+                    outcomes.append((str(exc), exc.witness))
+            assert outcomes[0] == outcomes[1], s
+            refused += isinstance(outcomes[0], tuple)
+    assert refused == 16
 
 
 def test_realize_counts_and_hyperplane():

@@ -212,6 +212,18 @@ def test_add_ascents_matches_fixpoint(s):
                 assert sw.add_ascents(w, A, s) == sw.add_ascents_fixpoint(w, A, s)
 
 
+def test_criterion_7_reports_a_closure_error(monkeypatch):
+    # a ValidationError from an A-closure is a failed result naming s, w and
+    # A, not an exception that the CLI would report as invalid input
+    def refuse(w, A, s):
+        raise ValidationError("multiset transitivity fails")
+
+    monkeypatch.setattr(sw, "add_ascents", refuse)
+    result = verify.criterion_7(level="quick")
+    assert not result["ok"]
+    assert result["detail"] == "closure s=(1,) w=(1,) A=[]: multiset transitivity fails"
+
+
 def test_hasse_counts_and_bounds():
     H = sw.s_hasse((1, 2, 2))
     assert len(H) == 15 and H.is_lattice()
