@@ -256,7 +256,8 @@ def is_admissible(graph, height, all_routes=None, witness=False):
 
 
 def max_cliques(graph, cap=None):
-    """All maximal cliques of the coherence relation (Bron-Kerbosch, pivoting).
+    """All maximal cliques of the coherence relation (Bron-Kerbosch, pivoting),
+    ordered by the sorted `str`s of their routes.
 
     Every output is checked to have |E| - |V| + 2 routes.
     """
@@ -282,11 +283,14 @@ def max_cliques(graph, cap=None):
 
     extend(frozenset(), set(idx), set())
     want = graph.dimension() + 1
-    cliques = [frozenset(rs[i] for i in cl) for cl in out]
-    for cl in cliques:
+    for cl in out:
         if len(cl) != want:
             raise AssertionError(f"maximal clique of size {len(cl)}, expected {want}")
-    return sorted(cliques, key=lambda cl: sorted(map(str, cl)))
+    rank = [0] * len(rs)  # the order of the routes' strs, each formatted once
+    for k, i in enumerate(sorted(idx, key=lambda i: str(rs[i]))):
+        rank[i] = k
+    out.sort(key=lambda cl: sorted(rank[i] for i in cl))
+    return [frozenset(rs[i] for i in cl) for cl in out]
 
 
 def check_netflow(graph, a):
@@ -513,33 +517,50 @@ def flow_key(flow):
     return tuple(sorted((str(e), v) for e, v in flow.items()))
 
 
-def orient_adjacent_cliques(graph, c1, c2):
-    """Order two facet-adjacent maximal cliques: the lower one owns the route
-    that enters the (unique, minimal) conflict earlier and leaves it later."""
-    (p,) = c1 - c2
-    (q,) = c2 - c1
-    block = _conflicts(graph, p, q, route_vertices(graph, p), route_vertices(graph, q))
-    if len(block) != 1:
-        raise AssertionError("adjacent cliques must differ by a single conflict")
-    if block[0][4] < 0 < block[0][5]:  # p enters earlier and leaves later
-        return c1, c2
-    return c2, c1
+def _dual_covers(graph, rs, masks):
+    """Cover pairs (lower, upper) of the oriented dual graph of a triangulation,
+    as indices into `masks`, its maximal cliques as bitmasks over the routes
+    `rs`.  A facet is a mask with one bit cleared; the two cliques sharing it
+    are ordered by their differing routes: the lower one owns the route that
+    enters the (unique, minimal) conflict earlier and leaves it later.  Each
+    unordered route pair is oriented once."""
+    verts = [route_vertices(graph, r) for r in rs]
+    owner, lower, covers = {}, {}, []
+    for x, m in enumerate(masks):
+        rest = m
+        while rest:
+            f = m ^ (rest & -rest)
+            rest &= rest - 1
+            y = owner.setdefault(f, x)
+            if y == x:
+                continue
+            if y < 0:
+                raise AssertionError("a triangulation facet has more than two sides")
+            owner[f] = -1  # paired: a third owner is refused
+            i, j = (masks[y] ^ f).bit_length() - 1, (m ^ f).bit_length() - 1
+            key = (min(i, j), max(i, j))
+            if key not in lower:
+                p, q = key
+                block = _conflicts(graph, rs[p], rs[q], verts[p], verts[q])
+                if len(block) != 1:
+                    raise AssertionError("adjacent cliques must differ by a single conflict")
+                lower[key] = p if block[0][4] < 0 < block[0][5] else q
+            covers.append((y, x) if lower[key] == i else (x, y))
+    return covers
 
 
 def dual_adjacency_covers(graph, cliques):
     """Cover pairs (lower, upper) of the oriented dual graph of a triangulation,
     from facet sharing."""
-    facets = {}
-    for cl in cliques:
-        for route in cl:
-            facets.setdefault(cl - {route}, []).append(cl)
-    covers = []
-    for owners in facets.values():
-        if len(owners) > 2:
-            raise AssertionError("a triangulation facet has more than two sides")
-        if len(owners) == 2:
-            covers.append(orient_adjacent_cliques(graph, owners[0], owners[1]))
-    return covers
+    cliques, rs = list(cliques), routes(graph)
+    covers = _dual_covers(graph, rs, _clique_masks(rs, cliques))
+    return [(cliques[a], cliques[b]) for a, b in covers]
+
+
+def _clique_masks(rs, cliques):
+    """Each clique as an int bitmask of its routes' positions in `rs`."""
+    ids = {r: k for k, r in enumerate(rs)}
+    return [sum(1 << ids[r] for r in cl) for cl in cliques]
 
 
 def reduce_multiedges(graph, a):

@@ -156,9 +156,6 @@ def tree_to_flow(tree, s):
 # --- cliques of the triangulation -------------------------------------------
 
 
-_route_intern = {}
-
-
 def prefix_route(counts, s):
     """R[u] for a prefix u of a word with letter counts `counts`.
 
@@ -170,10 +167,9 @@ def prefix_route(counts, s):
     """
     n = len(s)
     c = next((v for v in range(1, n + 1) if 0 < counts[v - 1] < s[v - 1]), n + 1)
-    route = (("e", c, 1 if c == n + 1 else counts[c - 1]),) + tuple(
+    return (("e", c, 1 if c == n + 1 else counts[c - 1]),) + tuple(
         ("e", a, counts[a - 1]) for a in range(c - 1, 0, -1)
     )
-    return _route_intern.setdefault(route, route)
 
 
 def prefix_routes(w, s):
@@ -223,12 +219,11 @@ def hasse_from_adjacency(s, cap=None) -> Hasse:
     """
     s = check_composition(s, strict=True)
     graph = build_oru(s)
-    cliques = {delta_w(w, s): w for w in all_words(s)}
-    covers = [
-        (cliques[lo], cliques[hi])
-        for lo, hi in fl.dual_adjacency_covers(graph, list(cliques))
-    ]
-    return Hasse(sorted(cliques.values()), set(covers))
+    rs, words = fl.routes(graph), all_words(s)
+    cliques = dict(zip(fl._clique_masks(rs, (delta_w(w, s) for w in words)), words))
+    words = list(cliques.values())  # one per clique: a repeated clique shrinks the order
+    covers = {(words[lo], words[hi]) for lo, hi in fl._dual_covers(graph, rs, list(cliques))}
+    return Hasse(sorted(words), covers)
 
 
 # --- heights and the tropical realization ------------------------------------
@@ -265,6 +260,8 @@ def admissibility_bound(s) -> Fraction:
     """eps below 1 / (n (1 + sum_{j=2}^n (2 s_j + 1))) certifies h_eps."""
     s = check_composition(s, strict=True)
     n = len(s)
+    if not n:
+        raise ValidationError("the empty composition s = () has no admissibility bound")
     return Fraction(1, n * (1 + sum(2 * s[j - 1] + 1 for j in range(2, n + 1))))
 
 

@@ -299,3 +299,90 @@ def test_dimension_and_clique_size():
         want = len(graph.edges) - (graph.n + 1) + 2
         for cl in fl.max_cliques(graph):
             assert len(cl) == want
+
+
+def strict_compositions(total):
+    if total == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, total + 1) for rest in strict_compositions(total - k)]
+
+
+def small_oruga_graphs():
+    """The s-oruga graph of every strict composition with |s| <= 6."""
+    return [(s, og.build_oru(s)) for total in range(1, 7) for s in strict_compositions(total)]
+
+
+def small_decorations():
+    """Every decoration with 2 <= n <= 5 (its ends are 'n')."""
+    return ["n" + "".join(mid) + "n" for k in range(4) for mid in product(pt.SYMBOLS, repeat=k)]
+
+
+def test_max_cliques_are_ordered_by_route_strs():
+    # "a" sorts before "a!", but "('a', 'b!')" before "('a', 'b')": the
+    # routes come out of `routes` in another order than their strs
+    edges = {"a": (0, 1), "a!": (0, 1), "b": (1, 2), "b!": (1, 2)}
+    bang = fl.FramedGraph(2, edges, {1: {"in": ["a", "a!"], "out": ["b", "b!"]}})
+    graphs = [bang] + [graph for _, graph in small_oruga_graphs()]
+    graphs += [bi.build_bic(pt.Decoration(d)) for d in small_decorations()]
+    for graph in graphs:
+        cls = fl.max_cliques(graph)
+        assert cls == sorted(cls, key=lambda cl: sorted(map(str, cl)))
+
+
+def dual_covers_oracle(graph, cliques):
+    """Cover pairs of the oriented dual graph, with facets as frozensets of
+    routes and each adjacency oriented by `reference_conflicts`."""
+    facets = {}
+    for cl in cliques:
+        for route in cl:
+            facets.setdefault(cl - {route}, []).append(cl)
+    covers = set()
+    for owners in facets.values():
+        assert len(owners) <= 2
+        if len(owners) == 2:
+            c1, c2 = owners
+            (p,), (q,) = c1 - c2, c2 - c1
+            (block,) = reference_conflicts(graph, p, q)
+            entries, exits = block["entry"], block["exit"]
+            p_lower = graph.in_pos(entries[0]) < graph.in_pos(entries[1]) and (
+                graph.out_pos(exits[0]) > graph.out_pos(exits[1])
+            )
+            covers.add((c1, c2) if p_lower else (c2, c1))
+    return covers
+
+
+def test_dual_covers_match_the_oracle():
+    for s, graph in small_oruga_graphs():
+        H = og.hasse_from_adjacency(s)
+        cliques = {og.delta_w(w, s): w for w in H.elements}
+        want = {(cliques[lo], cliques[hi]) for lo, hi in dual_covers_oracle(graph, cliques)}
+        assert H.cover_pairs() == want, s
+    for d in small_decorations():
+        H = bi.rotation_from_adjacency(d)
+        want = dual_covers_oracle(bi.build_bic(pt.Decoration(d)), H.elements)
+        assert H.cover_pairs() == want, d
+
+
+def test_dual_orients_each_route_pair_once(monkeypatch):
+    calls = []
+    kernel = fl._conflicts
+
+    def counted(graph, p, q, vp, vq):
+        calls.append((p, q))
+        return kernel(graph, p, q, vp, vq)
+
+    monkeypatch.setattr(fl, "_conflicts", counted)
+    s = (1,) * 6
+    H = og.hasse_from_adjacency(s)
+    pairs = {og.delta_w(lo, s) ^ og.delta_w(hi, s) for lo, hi in H.cover_pairs()}
+    assert all(len(pair) == 2 for pair in pairs)
+    assert len(calls) == len(pairs) < len(H.covers)
+
+
+def test_dual_kernel_checks(G):
+    rs = fl.routes(G)  # only routes 1 and 2 conflict
+    assert fl._dual_covers(G, rs, [0b00011, 0b00101]) == [(0, 1)]
+    with pytest.raises(AssertionError, match="more than two sides"):
+        fl._dual_covers(G, rs, [0b00011, 0b00101, 0b01001])
+    with pytest.raises(AssertionError, match="single conflict"):
+        fl._dual_covers(G, rs, [0b00011, 0b01001])

@@ -360,6 +360,12 @@ def test_realize_counts_and_hyperplane():
         assert all(lam > 0 for (_, _, _, lam) in R.edges)
 
 
+def test_empty_composition_is_refused():
+    for call in (og.admissibility_bound, og.default_epsilon, og.realize):
+        with pytest.raises(ValidationError, match=r"empty composition s = \(\)"):
+            call(())
+
+
 def test_realize_rejects_huge_epsilon():
     with pytest.raises(ValidationError):
         og.realize((1, 2, 2), Fraction(1, 2))

@@ -48,6 +48,30 @@ def test_no_unbounded_module_caches():
     assert found == []
 
 
+def _empty_container(value):
+    """`{}`, `[]`, `set()` or `dict()`: a mutable that starts empty, so
+    whatever it will hold is filled in at run time."""
+    return ast.unparse(value) in ("{}", "[]", "set()", "dict()")
+
+
+def test_no_module_level_mutable_caches():
+    """No module-level name is bound to an empty dict, list or set, the way
+    an unbounded cache starts; non-empty constant tables are fine."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and node.value is not None
+            and _empty_container(node.value)
+        ]
+    assert found == []
+
+
 def test_doctests():
     """Every example in the library's docstrings runs and gives its output."""
     failed = attempted = 0
