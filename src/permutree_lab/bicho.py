@@ -11,6 +11,7 @@ dip, replacing the edge by a source ("bs"/"ds", l) out of v_0 and a sink
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import combinations
 from math import factorial
 
 from . import flows as fl
@@ -22,9 +23,9 @@ from .permutree import (
     Decoration,
     Permutree,
     as_decoration,
+    children_first,
     count_permutrees,
     insert,
-    linear_extensions,
     updown_sections,
 )
 from .posets import Hasse
@@ -224,7 +225,7 @@ def permutree_clique(tree) -> frozenset:
     bottoms.append(route)
     carried = {}  # (node, parent slot) -> route leaving the node through it
     labels = []
-    for v in linear_extensions(tree, limit=1)[0]:
+    for v in children_first(tree):
         l = _level(v, n)
         base = bisect_left(walls, v)
         caught = [
@@ -290,8 +291,6 @@ def _inner_sum(section, memo) -> int:
     if not downs:
         return factorial(m)
     total = 0
-    from itertools import combinations
-
     for r in downs:
         for k in range(len(nones) + 1):
             for J in combinations(nones, k):

@@ -12,6 +12,8 @@ given those data.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .caps import require_cap
 from .errors import ValidationError
 from .posets import Hasse, hasse_by_bfs
@@ -110,11 +112,18 @@ def normalized_decorations(n):
 class Permutree:
     __slots__ = ("n", "delta", "children", "parents", "_inv", "_adj", "_hash")
 
-    def __init__(self, n, delta, children, parents):
+    def __init__(self, n, delta, children):
         self.n = n
         self.delta = delta
         self.children = children  # tuple over 1..n of slot tuples, entries node|None
-        self.parents = parents
+        # each child slot is mirrored in a parent slot; a node with two parent
+        # slots keeps its smaller parent on the left
+        parents = [[None, None] if delta[v] in UPISH else [None] for v in range(1, n + 1)]
+        for p, slots in enumerate(children, 1):
+            for c in slots:
+                if c is not None:
+                    parents[c - 1][0 if p < c else -1] = p
+        self.parents = tuple(map(tuple, parents))
         self._inv = None
         self._adj = None
         self._hash = None
@@ -124,17 +133,10 @@ class Permutree:
         if self._inv is None:
             n = self.n
             below = [0] * (n + 1)  # bit j of below[v]: j is a descendant of v
-            waiting = [sum(c is not None for c in cs) for cs in self.children]
-            ready = [v for v in range(1, n + 1) if not waiting[v - 1]]
-            for v in ready:
+            for v in children_first(self):
                 for c in self.children[v - 1]:
                     if c is not None:
                         below[v] |= below[c] | 1 << c
-                for p in self.parents[v - 1]:
-                    if p is not None:
-                        waiting[p - 1] -= 1
-                        if not waiting[p - 1]:
-                            ready.append(p)
             self._inv = frozenset(
                 (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if below[i] >> j & 1
             )
@@ -215,36 +217,34 @@ class Permutree:
 def permutree_from_json(data) -> Permutree:
     """Inverse of `Permutree.to_json`; refuses slots that `check_permutree` refuses."""
     try:
-        n = data["n"]
-        delta = parse_decoration(data["delta"])
+        n, delta = data["n"], data["delta"]
+        if not isinstance(delta, str):
+            raise ValidationError(f"malformed permutree JSON: delta {delta!r} is not a string")
+        delta = parse_decoration(delta)
         children = []
         for i in range(1, n + 1):
             slot = data["children"][i - 1]
-            if delta[i] in DOWNISH:
-                children.append((slot["LD"], slot["RD"]))
-            else:
-                children.append((slot["D"],))
-        parents = [[None, None] if delta[i] in UPISH else [None] for i in range(1, n + 1)]
-        for p in range(1, n + 1):
-            for c in children[p - 1]:
-                if c is None:
-                    continue
-                if delta[c] in UPISH:
-                    parents[c - 1][0 if p < c else 1] = p
-                else:
-                    parents[c - 1][0] = p
+            cs = (slot["LD"], slot["RD"]) if delta[i] in DOWNISH else (slot["D"],)
+            for c in cs:
+                if c is not None and not (type(c) is int and 1 <= c <= n):
+                    raise ValidationError(
+                        f"malformed permutree JSON: node {i}'s child {c!r} is not a node of 1..{n}"
+                    )
+            children.append(cs)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValidationError(f"malformed permutree JSON: {exc!r}") from None
-    return check_permutree(Permutree(n, delta, tuple(children), tuple(tuple(s) for s in parents)))
+    return check_permutree(Permutree(n, delta, tuple(children)))
 
 
 def check_permutree(tree) -> Permutree:
     """`tree` itself when it is the insertion tree of one of its linear
     extensions; a cycle or any slot that differs is refused."""
-    ext = linear_extensions(tree, limit=1)
-    if not ext:
-        raise ValidationError("the slots admit no linear extension (a cycle or unmirrored parents)")
-    want = insert(ext[0], tree.delta)
+    order = children_first(tree)
+    if len(order) < tree.n:
+        raise ValidationError(
+            "the child slots admit no linear extension (a cycle, or one parent slot claimed twice)"
+        )
+    want = insert(order, tree.delta)
     slots = list(zip(tree.children, tree.parents))
     for v, want_slots in enumerate(zip(want.children, want.parents), 1):
         if slots[v - 1] != want_slots:
@@ -264,81 +264,72 @@ def insert(pi, delta) -> Permutree:
     if delta.n != n:
         raise ValidationError(f"decoration size {delta.n} != permutation size {n}")
 
-    children = [[None, None] if delta[i] in DOWNISH else [None] for i in range(1, n + 1)]
-    parents = [[None, None] if delta[i] in UPISH else [None] for i in range(1, n + 1)]
-
+    children = [None] * n
     # zones are column intervals (lo, hi) between active walls; each carries the
-    # string top: None or (node, k), the string leaving the node's parent slot k
+    # string top: None or the node whose parent slot the string leaves
     walls = [i for i in range(1, n + 1) if delta[i] in DOWNISH]
     bounds = [0] + walls + [n + 1]
     zones = [[bounds[k], bounds[k + 1], None] for k in range(len(bounds) - 1)]
-
-    def attach_parent(top, v):
-        if top is not None:
-            parents[top[0] - 1][top[1]] = v
 
     for v in pi:
         dv = delta[v]
         if dv in DOWNISH:
             z = next(k for k, zone in enumerate(zones) if zone[1] == v)
-            left, right = zones[z], zones[z + 1]
-            children[v - 1][0] = left[2][0] if left[2] else None
-            children[v - 1][1] = right[2][0] if right[2] else None
-            attach_parent(left[2], v)
-            attach_parent(right[2], v)
-            merged = [left[0], right[1], None]
-            zones[z : z + 2] = [merged]
-            zone = merged
-            z_idx = z
+            zone, right = zones[z], zones.pop(z + 1)
+            children[v - 1] = (zone[2], right[2])
+            zone[1] = right[1]
         else:
-            z_idx = next(k for k, zone in enumerate(zones) if zone[0] < v < zone[1])
-            zone = zones[z_idx]
-            children[v - 1][0] = zone[2][0] if zone[2] else None
-            attach_parent(zone[2], v)
+            z = next(k for k, zone in enumerate(zones) if zone[0] < v < zone[1])
+            zone = zones[z]
+            children[v - 1] = (zone[2],)
         if dv in UPISH:
-            zones[z_idx : z_idx + 1] = [
-                [zone[0], v, (v, 0)],
-                [v, zone[1], (v, 1)],
-            ]
+            zones[z : z + 1] = [[zone[0], v, v], [v, zone[1], v]]
         else:
-            zone[2] = (v, 0)
+            zone[2] = v
 
-    return Permutree(n, delta, tuple(tuple(c) for c in children), tuple(tuple(p) for p in parents))
+    return Permutree(n, delta, tuple(children))
 
 
-def linear_extensions(tree, limit=None):
+def children_first(tree):
+    """The least linear extension of `tree`, children before parents, by a
+    heap-ordered Kahn pass; cut short when nodes wait on a cycle, or on a
+    child slot whose parent slot another parent took."""
+    waiting = [sum(c is not None for c in cs) for cs in tree.children]
+    ready = [v for v in range(1, tree.n + 1) if not waiting[v - 1]]  # sorted, so a heap
+    order = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for p in tree.parents[v - 1]:
+            if p is not None:
+                waiting[p - 1] -= 1
+                if not waiting[p - 1]:
+                    heappush(ready, p)
+    return tuple(order)
+
+
+def linear_extensions(tree):
     """The fiber of the insertion map: all topological orders, children first."""
     n = tree.n
-    child_count = [sum(1 for c in tree.children[i] if c is not None) for i in range(n)]
-    parents_of = [
-        [p for p in tree.parents[i] if p is not None] for i in range(n)
-    ]
+    parents_of = [[p for p in ps if p is not None] for ps in tree.parents]
+    pending = [sum(c is not None for c in cs) for cs in tree.children]
     out = []
-    avail = sorted(i + 1 for i in range(n) if child_count[i] == 0)
-    pending = child_count[:]
 
     def rec(avail, placed):
-        nonlocal limit
-        if limit is not None and len(out) >= limit:
-            return
         if len(placed) == n:
             out.append(tuple(placed))
             return
-        if not avail:  # a cycle: no order places the rest, so end the search
-            limit = len(out)
-            return
-        for v in list(avail):
+        for v in avail:
             nxt = [w for w in avail if w != v]
-            opened = []
             for p in parents_of[v - 1]:
                 pending[p - 1] -= 1
                 if pending[p - 1] == 0:
-                    opened.append(p)
-            rec(sorted(nxt + opened), placed + [v])
+                    nxt.append(p)
+            rec(sorted(nxt), placed + [v])
             for p in parents_of[v - 1]:
                 pending[p - 1] += 1
 
-    rec(avail, [])
+    rec([v for v in range(1, n + 1) if not pending[v - 1]], [])
     return out
 
 
@@ -377,19 +368,13 @@ def rotate(tree, edge) -> Permutree:
         raise ValidationError(f"need an edge (i, j) with i < j, got {edge}")
     if i not in tree.children[j - 1]:
         raise ValidationError(f"({i}->{j}) is not an edge of the permutree", witness=edge)
-    children, parents = [list(s) for s in tree.children], [list(s) for s in tree.parents]
+    children = [list(s) for s in tree.children]
     ci = 1 if tree.delta[i] in DOWNISH else 0
-    down, up = children[i - 1][ci], parents[j - 1][0]
-    try:
-        children[j - 1][children[j - 1].index(i)], children[i - 1][ci] = down, j
-        parents[i - 1][parents[i - 1].index(j)], parents[j - 1][0] = up, i
-        if down is not None:
-            parents[down - 1][parents[down - 1].index(i)] = j
-        if up is not None:
-            children[up - 1][children[up - 1].index(j)] = i
-    except ValueError:
-        raise ValidationError("the parent slots do not mirror the child slots", edge) from None
-    out = Permutree(tree.n, tree.delta, tuple(map(tuple, children)), tuple(map(tuple, parents)))
+    down, up = children[i - 1][ci], tree.parents[j - 1][0]
+    children[j - 1][children[j - 1].index(i)], children[i - 1][ci] = down, j
+    if up is not None:
+        children[up - 1][children[up - 1].index(j)] = i
+    out = Permutree(tree.n, tree.delta, tuple(map(tuple, children)))
     closure = transitive_closure_pairs(tree.inversion_pairs() | {(i, j)}, tree.n)
     if out.inversion_pairs() != closure:
         raise ValidationError("rotated slots disagree with the closure of B(T) + (i, j)", edge)

@@ -11,7 +11,15 @@ meet; cubic vectors embed the rotation lattice into the box
 from __future__ import annotations
 
 from .errors import ValidationError
-from .permutree import DOWNISH, UPISH, Permutree, _tree_from_pairs, as_decoration, rotation_lattice
+from .permutree import (
+    DOWNISH,
+    UPISH,
+    Permutree,
+    _tree_from_pairs,
+    as_decoration,
+    insert,
+    rotation_lattice,
+)
 from .weak_order import cotransitivity_witness, transitivity_witness
 
 
@@ -119,8 +127,6 @@ def extremal_permutree(delta, corner) -> Permutree:
     lows = [i for i in range(1, n) if corner[i - 1] == 0]
     highs = [i for i in range(1, n) if corner[i - 1] != 0 and corner[i - 1] == n - i]
     pi = tuple(lows + [n] + sorted(highs, reverse=True))
-    from .permutree import insert
-
     tree = insert(pi, delta)
     got = cubic_vector(tree)
     if got != corner:

@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from . import automata as am
 from . import bicho as bi
@@ -77,8 +78,6 @@ def criterion_2(level="full"):
 def criterion_3(level="full"):
     """Cubical embedding: injective, corners attained, axis-parallel edges."""
     nmax = 6 if level == "full" else 4
-    from .weak_order import lehmer_code
-
     for n in range(2, nmax + 1):
         for d in pt.normalized_decorations(n):
             lat, emb = vec.cubical_embedding(d)
@@ -109,8 +108,7 @@ def criterion_3(level="full"):
             return _result(3, "cubical embedding", False, f"bracket vectors n={n}")
         latn = pt.rotation_lattice(pt.Decoration("n" * n))
         for t in latn.elements:
-            pi = pt.linear_extensions(t)[0]
-            if vec.cubic_vector(t) != lehmer_code(pi):
+            if vec.cubic_vector(t) != wo.lehmer_code(pt.children_first(t)):
                 return _result(3, "cubical embedding", False, f"lehmer n={n}")
     return _result(3, "cubical embedding", True, f"all decorations, n <= {nmax}")
 
@@ -239,8 +237,6 @@ def criterion_5(level="full"):
 def criterion_6(level="full"):
     """Coxeter sorting equivalences and W-Catalan counts."""
     nmax = 6 if level == "full" else 4
-    from math import comb
-
     for n in range(3, nmax + 1):
         catalan = comb(2 * n, n) // (n + 1)
         perms = wo.all_perms(n)

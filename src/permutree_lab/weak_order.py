@@ -140,8 +140,8 @@ def perm_from_inversions(pairs, n) -> Perm:
     """
     s = frozenset(pairs)
     # value i precedes value j (i < j) exactly when (i, j) is not an inversion
-    seq = [n]
-    for i in range(n - 1, 0, -1):
+    seq = []
+    for i in range(n, 0, -1):
         k = 0
         while k < len(seq) and (i, seq[k]) in s:  # i must come after seq[k]
             k += 1

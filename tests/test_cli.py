@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutree_lab import cli
 from permutree_lab import flows as fl
@@ -258,3 +262,94 @@ def test_golden_stdout_digests(capsys, monkeypatch):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             differ.append(request)
     assert differ == []
+
+
+# --- the CLI grammar as a property -------------------------------------------
+
+
+def _ints(low, high, max_size, min_size=0):
+    return st.lists(st.integers(low, high), min_size=min_size, max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+def _mostly(valid, *others):
+    """A valid value half the time, else one drawn from `others`."""
+    return st.sampled_from([valid] * len(others) + list(others)).flatmap(lambda s: s)
+
+
+_JUNK = st.one_of(st.sampled_from(["", "-1", "--json", "1,,2", "x", "1/0"]), st.text(max_size=8))
+_PERM = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+_VALUES = {
+    "--delta": _mostly(
+        st.text("ndux", max_size=7), st.text("ndux", min_size=12, max_size=40), _JUNK
+    ),
+    "--pi": _mostly(
+        _PERM.map(lambda p: "".join(map(str, p))),
+        st.integers(10, 30).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+            lambda p: ",".join(map(str, p))
+        ),
+        _ints(-3, 40, 12),
+        _JUNK,
+    ),
+    "--n": _mostly(st.integers(0, 9).map(str), st.integers(-2, 40).map(str), _JUNK),
+    "--U": _mostly(_ints(2, 8, 3, 1), _ints(-2, 40, 4), _JUNK),
+    "--D": _mostly(_ints(2, 8, 3, 1), _ints(-2, 40, 4), _JUNK),
+    "--s": _mostly(_ints(1, 3, 4, 1), _ints(0, 9, 20), _JUNK),
+    "--epsilon": _mostly(
+        st.sampled_from(["1/100", "1/2", "7", "1e-3"]),
+        st.sampled_from(["-1/2", "0", "1/0", "1/2/3", "10**100"]),
+        _JUNK,
+    ),
+    "--approx": _mostly(st.integers(0, 20).map(str), st.integers(-3, 400).map(str), _JUNK),
+    "--netflow": _mostly(st.sampled_from(["i", "d"]), _ints(-3, 5, 8), _JUNK),
+    "--graph": st.sampled_from(
+        ["perfbench/data/graph_nxdn.json", "perfbench/data/graph_list_id.json", "missing.json"]
+    ),
+}
+_GRAMMAR = {  # family: verbs, graph sources, further flags
+    "permutree": (
+        ["count", "lattice", "insert", "sort"], [], ["--delta", "--n", "--pi", "--U", "--D"]
+    ),
+    "sorder": (["count", "hasse", "realize", "identities"], [], ["--s", "--epsilon", "--approx"]),
+    "flows": (
+        ["routes", "cliques", "kostant", "volume"], ["--s", "--delta", "--graph"], ["--netflow"]
+    ),
+    "bicho": (["build", "verify", "conjectures"], [], ["--delta"]),
+    # `verify` takes no --cap, so every draw of it is refused as a usage error
+    "verify": (["all", "permutree"], [], ["--full"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    family = draw(st.sampled_from(sorted(_GRAMMAR)))
+    verbs, sources, flags = _GRAMMAR[family]
+    argv = [family, draw(st.sampled_from(verbs * 3 + ["frob"]))]
+    picked = [flag for flag in flags if draw(st.sampled_from([True, True, False]))]
+    if sources:  # mostly one, else none, two or a repeated one
+        picked += draw(st.sampled_from([1, 1, 1, 0, 2]).flatmap(
+            lambda k: st.lists(st.sampled_from(sources), min_size=k, max_size=k)
+        ))
+    for flag in picked:
+        argv.append(flag)
+        if flag in _VALUES:
+            argv.append(draw(_VALUES[flag]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv + ["--cap", str(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argv())
+def test_cli_grammar_exits_cleanly(argv):
+    """Any drawn request exits 0, 1 or 2; a refusal prints one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, None), argv
+    if code in (1, 2):
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,7 +231,7 @@ def test_json_roundtrip():
     [
         # nodes 1 and 2 are each other's child: no linear extension
         ({"n": 3, "delta": "nnn", "children": [{"D": 2}, {"D": 1}, {"D": None}]}, None),
-        # the same cycle beside ten free nodes; the search stops at once
+        # the same cycle beside ten free nodes
         ({"n": 12, "delta": "n" * 12, "children": [{"D": 2}, {"D": 1}] + [{"D": None}] * 10}, None),
         # a child outside [n], and a down slot without its 'LD'/'RD' keys
         ({"n": 3, "delta": "nnn", "children": [{"D": 7}, {"D": None}, {"D": None}]}, None),
@@ -251,14 +253,99 @@ def test_from_json_refuses_non_permutrees(data, witness):
     assert info.value.witness == witness
 
 
-def test_rotate_refuses_unmirrored_slots():
-    # the chain 1 -> 2 -> 3 -> 4 in the child slots, but 4 in node 2's parent slot
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 3, "delta": 5, "children": [{"D": None}] * 3},
+        {"n": 3, "delta": None, "children": [{"D": None}] * 3},
+        # 0 and -1 would index the slot list from its end
+        {"n": 3, "delta": "nnn", "children": [{"D": 0}, {"D": None}, {"D": None}]},
+        {"n": 3, "delta": "nnn", "children": [{"D": None}, {"D": -1}, {"D": None}]},
+        {"n": 3, "delta": "nnn", "children": [{"D": None}, {"D": True}, {"D": None}]},
+        {"n": 3, "delta": "nnn", "children": [{"D": None}, {"D": 1.0}, {"D": None}]},
+        {"n": 3, "delta": "nnn", "children": [{"D": None}, {"D": "1"}, {"D": None}]},
+        {"n": 3, "delta": "ndn", "children": [{"D": None}, {"LD": 1, "RD": 4}, {"D": None}]},
+    ],
+)
+def test_from_json_refuses_malformed_input(data):
+    with pytest.raises(ValidationError, match="^malformed permutree JSON: "):
+        pt.permutree_from_json(data)
+
+
+def test_rotate_on_derived_parent_slots():
+    # the chain 1 -> 2 -> 3 -> 4 given by its child slots alone: the parent
+    # slots are derived as their mirror, so a rotation cannot meet a stale one
     children = ((None,), (1,), (2,), (3,))
-    parents = ((2,), (4,), (4,), (None,))
-    bad = pt.Permutree(4, pt.Decoration("nnnn"), children, parents)
-    with pytest.raises(ValidationError, match="mirror") as info:
-        pt.rotate(bad, (1, 2))
-    assert info.value.witness == (1, 2)
+    chain = pt.Permutree(4, pt.Decoration("nnnn"), children)
+    assert chain.parents == ((2,), (3,), (4,), (None,))
+    closure = wo.transitive_closure_pairs(chain.inversion_pairs() | {(1, 2)}, 4)
+    want = pt._tree_from_pairs(closure, chain.delta)
+    got = pt.rotate(chain, (1, 2))
+    assert (got.children, got.parents) == (want.children, want.parents)
+
+
+def insert_oracle(pi, delta):
+    """The insertion with explicit parent bookkeeping: each string top is
+    (node, k), the string leaving the node's parent slot k, and the node that
+    catches it writes itself into that slot."""
+    delta = pt.as_decoration(delta)
+    n = len(pi)
+    children = [[None, None] if delta[i] in pt.DOWNISH else [None] for i in range(1, n + 1)]
+    parents = [[None, None] if delta[i] in pt.UPISH else [None] for i in range(1, n + 1)]
+    walls = [i for i in range(1, n + 1) if delta[i] in pt.DOWNISH]
+    bounds = [0] + walls + [n + 1]
+    zones = [[bounds[k], bounds[k + 1], None] for k in range(len(bounds) - 1)]
+
+    def attach_parent(top, v):
+        if top is not None:
+            parents[top[0] - 1][top[1]] = v
+
+    for v in pi:
+        dv = delta[v]
+        if dv in pt.DOWNISH:
+            z = next(k for k, zone in enumerate(zones) if zone[1] == v)
+            left, right = zones[z], zones[z + 1]
+            children[v - 1][0] = left[2][0] if left[2] else None
+            children[v - 1][1] = right[2][0] if right[2] else None
+            attach_parent(left[2], v)
+            attach_parent(right[2], v)
+            zone = [left[0], right[1], None]
+            zones[z : z + 2] = [zone]
+        else:
+            z = next(k for k, zone in enumerate(zones) if zone[0] < v < zone[1])
+            zone = zones[z]
+            children[v - 1][0] = zone[2][0] if zone[2] else None
+            attach_parent(zone[2], v)
+        if dv in pt.UPISH:
+            zones[z : z + 1] = [[zone[0], v, (v, 0)], [v, zone[1], (v, 1)]]
+        else:
+            zone[2] = (v, 0)
+    return tuple(map(tuple, children)), tuple(map(tuple, parents))
+
+
+def test_derived_parent_slots_match_the_insertion_oracle():
+    checked = 0
+    for n in range(1, 6):
+        for d in pt.normalized_decorations(n):
+            for pi in wo.all_perms(n):
+                t = pt.insert(pi, d)
+                assert (t.children, t.parents) == insert_oracle(pi, d), (pi, d)
+                checked += 1
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(6, 8)
+        pi = tuple(rng.sample(range(1, n + 1), n))
+        d = pt.Decoration("".join(rng.choice(pt.SYMBOLS) for _ in range(n)))
+        t = pt.insert(pi, d)
+        assert (t.children, t.parents) == insert_oracle(pi, d), (pi, d)
+    assert checked == 8091  # sum over n <= 5 of n! * 4^max(n-2, 0)
+
+
+def test_children_first_is_the_least_linear_extension():
+    for n in range(1, 6):
+        for d in pt.normalized_decorations(n):
+            for t in pt.rotation_lattice(d).elements:
+                assert pt.children_first(t) == pt.linear_extensions(t)[0]
 
 
 @st.composite
@@ -276,7 +363,7 @@ def test_insert_property(case):
     place = {v: k for k, v in enumerate(pi)}
     for v in range(1, len(pi) + 1):
         assert all(place[c] < place[v] for c in tree.children[v - 1] if c is not None)
-    again = pt.insert(pt.linear_extensions(tree, limit=1)[0], d)
+    again = pt.insert(pt.children_first(tree), d)
     assert (again.children, again.parents) == (tree.children, tree.parents)
 
 
@@ -325,16 +412,16 @@ def test_inversion_pairs_match_descendants():
             trees = pt.rotation_lattice(d).elements
             assert len(trees) == pt.count_permutrees(d)
             for t in trees:
-                fresh = pt.Permutree(n, d, t.children, t.parents)
+                fresh = pt.Permutree(n, d, t.children)
                 want = {(i, j) for i in range(1, n + 1) for j in below(t, i) if j > i}
                 assert fresh.inversion_pairs() == want
+                assert fresh.parents == t.parents
 
 
 def test_rotate_checks_the_closure():
     # node 2 holds 4 in its left child slot and 1 in its right one
     children = ((None,), (4, 1), (2,), (None,))
-    parents = ((2,), (3,), (None,), (2,))
-    bad = pt.Permutree(4, pt.Decoration("ndnn"), children, parents)
+    bad = pt.Permutree(4, pt.Decoration("ndnn"), children)
     with pytest.raises(ValidationError, match="closure") as info:
         pt.rotate(bad, (2, 3))
     assert info.value.witness == (2, 3)

@@ -24,6 +24,24 @@ def test_no_bare_asserts():
     assert found == []
 
 
+def test_no_function_local_imports():
+    """Every library import sits at module level, where the import graph
+    can be read at a glance."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+    assert found == []
+
+
 def _unbounded_cache(decorator):
     """`cache`, `lru_cache(maxsize=None)` or `lru_cache(None)`, with or
     without the `functools.` prefix."""

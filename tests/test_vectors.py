@@ -30,6 +30,16 @@ def test_reconstruction_empty_gives_bottom():
         assert vec.permutree_from_inversion_set(frozenset(), d) == pt.bottom(d)
 
 
+def test_empty_decoration():
+    # the rotation lattice of the empty decoration has one element
+    d = pt.Decoration("")
+    (only,) = pt.rotation_lattice(d).elements
+    assert pt.top("") == only == pt.bottom("")
+    assert vec.meet_via_inversions(pt.bottom(""), pt.bottom("")) == only
+    assert vec.permutree_from_inversion_set(set(), d) == only
+    assert wo.perm_from_inversions(frozenset(), 0) == ()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_roundtrip_exhaustive(n):
     for d in pt.normalized_decorations(n):
