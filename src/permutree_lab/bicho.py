@@ -138,12 +138,12 @@ def netflow_d(graph) -> tuple:
     return d
 
 
-def count_d_flows(delta) -> int:
+def count_d_flows(delta, cap=None) -> int:
     delta = as_decoration(delta)
     if delta.n == 0:
         return 1
     graph = build_bic(delta)
-    return fl.kostant(graph, netflow_d(graph))
+    return fl.kostant(graph, netflow_d(graph), cap=cap)
 
 
 # --- d-flows <-> permutrees (decorations over {none, down}) -----------------
@@ -270,19 +270,19 @@ def rotation_from_adjacency(delta, cap=None) -> Hasse:
 # --- conjecture checkers ------------------------------------------------------
 
 
-def _flow_count(symbols, memo) -> int:
+def _flow_count(symbols, memo, cap) -> int:
     """Flow count of a decoration's symbols; `memo` is local to one report."""
     if symbols not in memo:
-        memo[symbols] = count_d_flows(Decoration(symbols))
+        memo[symbols] = count_d_flows(Decoration(symbols), cap)
     return memo[symbols]
 
 
-def _inner_sum(section, memo) -> int:
+def _inner_sum(section, memo, cap) -> int:
     """Conjectured recursion for a {none, down} section, on flow counts.
 
     Strips a maximal chain of 'n' roots (any of |J|! orders), then a 'd' root
     splitting the remaining labels; an all-'n' section contributes its
-    factorial directly.
+    factorial directly.  `cap` bounds each flow count's Kostant DP.
     """
     sec = tuple(section)
     m = len(sec)
@@ -297,7 +297,7 @@ def _inner_sum(section, memo) -> int:
                 Jset = set(J)
                 left = tuple(sec[x] for x in range(r) if x not in Jset)
                 right = tuple(sec[x] for x in range(r + 1, m) if x not in Jset)
-                total += factorial(k) * _flow_count(left, memo) * _flow_count(right, memo)
+                total += factorial(k) * _flow_count(left, memo, cap) * _flow_count(right, memo, cap)
     return total
 
 
@@ -309,7 +309,8 @@ def check_conjectures(delta, cap=None) -> dict:
     inside a section first (the flow counts are invariant under that swap;
     the swap instances are reported as witnesses).  Results are reported,
     never asserted as theorems.  The (root, J) terms of the inner sums,
-    #d * 2^#n per sum, are checked against the cap `conjecture_terms` first.
+    #d * 2^#n per sum, are checked against the cap `conjecture_terms` first;
+    `cap` raises it and the `kostant_states` of every flow count alike.
     """
     delta = as_decoration(delta)
     nd = set(delta.symbols) <= {"n", "d"}
@@ -317,7 +318,7 @@ def check_conjectures(delta, cap=None) -> dict:
     swapped = [tuple("d" if c == "u" else c for c in sec) for sec in sections]
     sums = swapped + ([delta.symbols] if nd else [])
     require_cap("conjecture_terms", sum(sec.count("d") << sec.count("n") for sec in sums), cap)
-    lhs = count_d_flows(delta)
+    lhs = count_d_flows(delta, cap)
     memo = {}
     report = {
         "delta": str(delta),
@@ -330,14 +331,14 @@ def check_conjectures(delta, cap=None) -> dict:
     if delta.n <= 6:
         report["counts"]["cliques"] = len(fl.max_cliques(build_bic(delta)))
     if nd:
-        rhs = _inner_sum(delta.symbols, memo)
+        rhs = _inner_sum(delta.symbols, memo, cap)
         report["conjecture_1"] = "PASS" if rhs == lhs else "FAIL"
         report["conjecture_1_rhs"] = rhs
     else:
         report["conjecture_1"] = "N/A"
     rhs2 = 1
     for sec in swapped:
-        rhs2 *= _inner_sum(sec, memo)
+        rhs2 *= _inner_sum(sec, memo, cap)
     report["conjecture_2"] = "PASS" if rhs2 == lhs else "FAIL"
     report["conjecture_2_rhs"] = rhs2
     report["witnesses"] = {

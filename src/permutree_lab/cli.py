@@ -111,7 +111,7 @@ def _graph_from_args(args):
     try:
         with open(args.graph) as fh:
             return fl.graph_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read framed graph from {args.graph}: {exc}")
 
 
@@ -211,7 +211,7 @@ def cmd_bicho(args):
     elif args.verb == "verify":
         graph = bi.build_bic(delta)
         counts = {
-            "flows": bi.count_d_flows(delta),
+            "flows": bi.count_d_flows(delta, cap=args.cap),
             "permutrees": pt.count_permutrees(delta),
             "cliques": len(fl.max_cliques(graph, cap=args.cap)),
         }

@@ -92,14 +92,35 @@ class FramedGraph:
 
 
 def graph_from_json(data) -> FramedGraph:
-    framed = [e for spec in data["framing"].values() for e in (*spec["in"], *spec["out"])]
-    for e in [edge["id"] for edge in data["edges"]] + framed:
-        if not isinstance(e, str):
-            raise ValidationError(f"edge id {e!r} is not a string")
-    edges = {e["id"]: (e["tail"], e["head"]) for e in data["edges"]}
-    framing = {
-        int(v): {"in": spec["in"], "out": spec["out"]} for v, spec in data["framing"].items()
-    }
+    """Inverse of `FramedGraph.to_json`.  Refuses a top level or framing that
+    is not an object, a vertex count that is not an int >= 1, a tail or head
+    that is not an int, and an edge id that is not a string or is repeated."""
+
+    def malformed(what):
+        return ValidationError(f"malformed framed-graph JSON: {what}")
+
+    if not isinstance(data, dict) or not isinstance(data.get("framing"), dict):
+        raise malformed("the top level and its 'framing' must be objects")
+    if type(data.get("vertices")) is not int or data["vertices"] < 1:
+        raise malformed(f"'vertices' {data.get('vertices')!r} is not an int >= 1")
+    try:
+        framed = [e for spec in data["framing"].values() for e in (*spec["in"], *spec["out"])]
+        for e in [edge["id"] for edge in data["edges"]] + framed:
+            if not isinstance(e, str):
+                raise malformed(f"edge id {e!r} is not a string")
+        edges = {}
+        for edge in data["edges"]:
+            e, ends = edge["id"], (edge["tail"], edge["head"])
+            if not all(type(v) is int for v in ends):
+                raise malformed(f"edge {e!r}: tail and head {ends!r} must be ints")
+            if e in edges:
+                raise malformed(f"edge id {e!r} is repeated")
+            edges[e] = ends
+        framing = {
+            int(v): {"in": spec["in"], "out": spec["out"]} for v, spec in data["framing"].items()
+        }
+    except (KeyError, TypeError) as exc:
+        raise malformed(repr(exc)) from None
     return FramedGraph(data["vertices"] - 1, edges, framing)
 
 

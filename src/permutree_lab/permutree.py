@@ -217,13 +217,16 @@ class Permutree:
 def permutree_from_json(data) -> Permutree:
     """Inverse of `Permutree.to_json`; refuses slots that `check_permutree` refuses."""
     try:
-        n, delta = data["n"], data["delta"]
+        n, delta, slots = data["n"], data["delta"], data["children"]
         if not isinstance(delta, str):
             raise ValidationError(f"malformed permutree JSON: delta {delta!r} is not a string")
+        if type(n) is not int or n < 0:
+            raise ValidationError(f"malformed permutree JSON: n {n!r} is not an int >= 0")
+        if len(slots) != n:
+            raise ValidationError(f"malformed permutree JSON: n = {n} but {len(slots)} children")
         delta = parse_decoration(delta)
         children = []
-        for i in range(1, n + 1):
-            slot = data["children"][i - 1]
+        for i, slot in enumerate(slots, 1):
             cs = (slot["LD"], slot["RD"]) if delta[i] in DOWNISH else (slot["D"],)
             for c in cs:
                 if c is not None and not (type(c) is int and 1 <= c <= n):

@@ -326,24 +326,26 @@ def _criterion_7(level):
 def _s_lattice_ok(H, s, tally):
     """Join of every cover-sibling pair exists (BEZ criterion).
 
-    The candidate join is the closure of the pointwise max; its round trip
-    through a word makes it the least upper bound outright.  Up to |s| = 6
+    The candidate join is the closure of the pointwise max.  Every upper
+    bound of x and y has a closed multiset at least that closure, so the
+    element whose multiset equals it, looked up by its values over the pairs
+    (c, a) in one order, is the least upper bound outright.  Up to |s| = 6
     the join of the covers z + a and z + b must also be z + {a, b}
     (`add_ascents`).  `is_lattice` also runs up to 2000 elements.  `tally`
     counts the pairs of each derivation and the lattices.
     """
-    multis = {w: sw._inversions(w, len(s)) for w in H.elements}
+    order = [(c, a) for a in range(1, len(s)) for c in range(a + 1, len(s) + 1)]
+    multis = {w: sw.inversion_multiset(w, s) for w in H.elements}
+    element = {tuple(map(m.__getitem__, order)): w for w, m in multis.items()}
 
     def join(x, y):
-        try:
-            return sw._decode(sw.join_multisets(multis[x], multis[y], s), s)
-        except ValidationError:
-            return None
+        m = sw.join_multisets(multis[x], multis[y], s)
+        return element.get(tuple(map(m.__getitem__, order)))
 
     for z in H.elements:
         pairs = list(combinations(H.up_covers(z), 2))
         tally["sibling_joins"] += len(pairs)
-        if any(join(x, y) not in H.index for x, y in pairs):
+        if any(join(x, y) is None for x, y in pairs):
             return False
         if sum(s) <= 6:
             pairs = list(combinations(sw.ascents(z), 2))

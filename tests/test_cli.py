@@ -244,6 +244,47 @@ def test_cap_flag_overrides(capsys):
         assert code == 0 and json.loads(out)[key] == value, argv
 
 
+def _first_edge(d, **change):
+    return {**d, "edges": [{**d["edges"][0], **change}, *d["edges"][1:]]}
+
+
+MALFORMED_GRAPHS = {  # variants of perfbench/data/graph_nxdn.json, and an empty graph
+    "vertices a string": lambda d: {**d, "vertices": "5"},
+    "vertices a float": lambda d: {**d, "vertices": 2.5},
+    "vertices a bool": lambda d: {**d, "vertices": True},
+    "no vertex": lambda d: {"vertices": 0, "edges": [], "framing": {}},
+    "tail a string": lambda d: _first_edge(d, tail="3"),
+    "tail null": lambda d: _first_edge(d, tail=None),
+    "head a float": lambda d: _first_edge(d, head=4.0),
+    "framing a list": lambda d: {**d, "framing": []},
+    "top level a list": lambda d: [d],
+    "edge id repeated": lambda d: {**d, "edges": d["edges"] + d["edges"][:1]},
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_GRAPHS))
+def test_malformed_graph_file_is_refused(case, capsys, tmp_path):
+    nxdn = json.loads((ROOT / "perfbench" / "data" / "graph_nxdn.json").read_text())
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(MALFORMED_GRAPHS[case](nxdn)))
+    for verb in ("routes", "cliques", "kostant"):
+        code, out, err = run_cli(capsys, "flows", verb, "--graph", str(path))
+        assert (code, out) == (1, ""), verb
+        assert len(err.splitlines()) == 1, verb
+        assert err.startswith("invalid input: malformed framed-graph JSON: "), verb
+
+
+def test_bicho_verbs_pass_their_cap_to_the_kostant_dp(capsys):
+    for argv, size in [
+        (("verify", "--delta", "nuuununxuxxnxdndddudxdnudnudnxxundd", "--cap", "4"), 5),
+        (("conjectures", "--delta", "nuuuun", "--cap", "16"), 19),  # 16 conjecture terms
+    ]:
+        code, out, err = run_cli(capsys, "bicho", *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1, argv
+        assert f"kostant_states: requested size {size} exceeds cap {argv[-1]} " in err, argv
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "permutree")
     assert code == 0

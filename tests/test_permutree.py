@@ -265,6 +265,10 @@ def test_from_json_refuses_non_permutrees(data, witness):
         {"n": 3, "delta": "nnn", "children": [{"D": None}, {"D": 1.0}, {"D": None}]},
         {"n": 3, "delta": "nnn", "children": [{"D": None}, {"D": "1"}, {"D": None}]},
         {"n": 3, "delta": "ndn", "children": [{"D": None}, {"LD": 1, "RD": 4}, {"D": None}]},
+        # n must count the children, none dropped, and be an int, not a bool
+        {"n": 2, "delta": "nn", "children": [{"D": None}, {"D": 1}, {"D": "junk"}]},
+        {"n": 2, "delta": "nn", "children": [{"D": None}]},
+        {"n": True, "delta": "n", "children": [{"D": None}]},
     ],
 )
 def test_from_json_refuses_malformed_input(data):

@@ -9,6 +9,7 @@ from permutree_lab import s_weak_order as sw
 from permutree_lab import verify
 from permutree_lab import weak_order as wo
 from permutree_lab.errors import ResourceCapError, ValidationError
+from permutree_lab.posets import Hasse
 
 RUN_S = (1, 1, 2, 1, 3, 1, 2)
 RUN_W = (3, 3, 7, 2, 5, 4, 5, 5, 7, 1, 6)
@@ -222,6 +223,51 @@ def test_criterion_7_reports_a_closure_error(monkeypatch):
     result = verify.criterion_7(level="quick")
     assert not result["ok"]
     assert result["detail"] == "closure s=(1,) w=(1,) A=[]: multiset transitivity fails"
+
+
+def _decode_join(x, y, s):
+    """Oracle for criterion 7's sibling join: the closure of the pointwise
+    max decoded back into a word, or None when no word has that multiset."""
+    m = sw.join_multisets(sw.inversion_multiset(x, s), sw.inversion_multiset(y, s), s)
+    try:
+        return sw.word_from_multiset(m, s)
+    except ValidationError:
+        return None
+
+
+@pytest.mark.parametrize("total", range(1, 7))
+def test_sibling_join_lookup_matches_the_decode(total, monkeypatch):
+    # up to |s| = 6 `_s_lattice_ok` compares the join of every sibling pair
+    # z + p, z + q with `_closure(add_ascents, z, {p, q}, s)`; with the decode
+    # oracle in its place it passes only if the lookup gives the oracle's
+    # element, or refuses where the oracle refuses, on every pair
+    def oracle(fn, z, A, s):
+        x, y = (sw.transpose_ascent(z, pair, s) for pair in A)
+        return _decode_join(x, y, s)
+
+    monkeypatch.setattr(verify, "_closure", oracle)
+    for s in verify._strict_compositions(total, min_total=total):
+        tally = Counter()
+        assert verify._s_lattice_ok(sw.s_hasse(s), s, tally), s
+        assert tally["sibling_joins"] == tally["add_ascents_joins"], s
+
+
+def test_s_lattice_ok_refuses_a_missing_sibling_join(monkeypatch):
+    # |s| = 7 runs no add_ascents comparison, and `is_lattice` is forced to
+    # pass, so only the sibling-join lookup can notice the join is gone
+    s = (1, 1, 5)
+    H = sw.s_hasse(s)
+    x, y = H.up_covers(H.minimum())
+    j = H.join(x, y)
+    assert _decode_join(x, y, s) == j
+    cut = Hasse(
+        [w for w in H.elements if w != j],
+        [(lo, hi) for lo, hi in H.cover_pairs() if j not in (lo, hi)],
+    )
+    for diagram in (H, cut):
+        monkeypatch.setattr(diagram, "is_lattice", lambda: True)
+    assert verify._s_lattice_ok(H, s, Counter())
+    assert not verify._s_lattice_ok(cut, s, Counter())
 
 
 def test_hasse_counts_and_bounds():

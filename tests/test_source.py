@@ -90,6 +90,34 @@ def test_no_module_level_mutable_caches():
     assert found == []
 
 
+def _private_uses(tree):
+    """Line numbers where `tree` reaches a `_` name of another library module:
+    `mod._name` on a module bound by `from . import mod`, or `from .mod
+    import _name`."""
+    relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    modules = {alias.asname or alias.name for n in relative if not n.module for alias in n.names}
+    imported = [n.lineno for n in relative if any(a.name.startswith("_") for a in n.names)]
+    attributes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    return sorted(imported + attributes)
+
+
+def test_entry_layers_use_the_public_api():
+    """The verification sweeps and the CLI call other library modules only
+    through their public names, so every value they pass in is checked."""
+    found = []
+    for name in ("verify.py", "cli.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        found += [f"{name}:{line}" for line in _private_uses(tree)]
+    assert found == []
+
+
 def test_doctests():
     """Every example in the library's docstrings runs and gives its output."""
     failed = attempted = 0
