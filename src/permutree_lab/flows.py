@@ -94,7 +94,9 @@ class FramedGraph:
 def graph_from_json(data) -> FramedGraph:
     """Inverse of `FramedGraph.to_json`.  Refuses a top level or framing that
     is not an object, a vertex count that is not an int >= 1, a tail or head
-    that is not an int, and an edge id that is not a string or is repeated."""
+    that is not an int, an edge id that is not a string or is repeated, and
+    more vertices than the edges plus one: such a graph is not connected, so
+    some vertex lies on no route."""
 
     def malformed(what):
         return ValidationError(f"malformed framed-graph JSON: {what}")
@@ -121,6 +123,11 @@ def graph_from_json(data) -> FramedGraph:
         }
     except (KeyError, TypeError) as exc:
         raise malformed(repr(exc)) from None
+    if data["vertices"] > len(edges) + 1:
+        raise malformed(
+            f"'vertices' {data['vertices']} exceeds the {len(edges)} edges plus one, "
+            "so some vertex lies on no route"
+        )
     return FramedGraph(data["vertices"] - 1, edges, framing)
 
 

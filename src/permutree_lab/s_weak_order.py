@@ -333,15 +333,14 @@ def transpose_ascent(w, pair, s) -> Word:
     return w[:start] + (c,) + w[start:end] + w[end + 1 :]
 
 
-def a_dependent(w, A, pair, s) -> bool:
-    """Whether (a, c) gains an inversion in w + A.
+def a_dependent(w, A, pair, spans) -> bool:
+    """Whether (a, c) gains an inversion in w + A; `spans` is `blocks(w)`.
 
     The witness chain starts at the largest letter below c whose block
     contains the a-block, then hops across directly-adjacent blocks along
     ascents of A until it hits an occurrence of c.
     """
     a, c = pair
-    spans = blocks(w)
     sa, ea = spans[a]
     # b_1: greatest letter < c with B_a inside B_b (a itself is one)
     b = max(b for b, (i, j) in spans.items() if b < c and i <= sa and ea <= j)
@@ -385,8 +384,9 @@ def add_ascents(w, A, s) -> Word:
         raise ValidationError(f"A contains non-ascents: {sorted(A - asc)}")
     m = _inversions(w, len(s))
     out = dict(m)
+    spans = blocks(w)
     for (c, a), k in m.items():
-        if k < s[c - 1] and a_dependent(w, A, (a, c), s):
+        if k < s[c - 1] and a_dependent(w, A, (a, c), spans):
             out[(c, a)] = k + 1
     return _decode(out, s)
 

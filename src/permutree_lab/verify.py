@@ -1,13 +1,18 @@
 """Verification sweeps: one function per acceptance-style criterion.
 
-Each check returns {"id", "name", "ok", "detail"}.  `level="full"` runs the
-desk-scale quantifiers (seconds to a few minutes per criterion); `"quick"`
-shrinks the ranges for interactive use.  Everything asserted here is an exact
-identity; there are no tolerances.
+`criterion_k(level="full")` returns {"id", "name", "ok", "detail"}.  A failed
+`_require`, or a `ValidationError` or `AssertionError` raised inside the
+check, a library fault included, is the criterion's failed result with the
+exception's message as its detail; `run` goes on to the remaining criteria
+and the CLI's `verify` exits 1.  `level="full"` runs the desk-scale
+quantifiers (seconds to a few minutes per criterion); `"quick"` shrinks the
+ranges for interactive use.  Everything asserted here is an exact identity;
+there are no tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,8 +31,33 @@ from .errors import ValidationError
 from .posets import isomorphic_via
 
 
-def _result(cid, name, ok, detail=""):
-    return {"id": cid, "name": name, "ok": bool(ok), "detail": detail}
+class _Failed(Exception):
+    """An identity a criterion checks does not hold; the message says which."""
+
+
+def _require(ok, detail, *args):
+    """Raise `_Failed(detail % args)` unless `ok`.  The detail is formatted
+    only on failure, so a check inside a hot loop pays nothing for it."""
+    if not ok:
+        raise _Failed(detail % args)
+
+
+def _criterion(cid, name):
+    """Decorator: a check `fn(level)` that returns its success detail becomes
+    criterion `cid`, failed by any exception the module docstring names."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def criterion(level="full"):
+            try:
+                ok, detail = True, fn(level)
+            except (_Failed, ValidationError, AssertionError) as exc:
+                ok, detail = False, str(exc)
+            return {"id": cid, "name": name, "ok": ok, "detail": detail}
+
+        return criterion
+
+    return wrap
 
 
 def _strict_compositions(max_total, min_total=1):
@@ -43,21 +73,21 @@ def _strict_compositions(max_total, min_total=1):
     return sorted(c for c in out if min_total <= sum(c) <= max_total)
 
 
-def criterion_1(level="full"):
+@_criterion(1, "permutree counts n=4")
+def criterion_1(level):
     """Permutree counts at n=4: recursion = lattice size = insertion fibers."""
     anchors = {"nnnn": 24, "nddn": 14, "nxxn": 8}
     for d in pt.normalized_decorations(4):
         c = pt.count_permutrees(d)
         lat = pt.rotation_lattice(d)
         fib = pt.insertion_fibers(d)
-        if not (c == len(lat) == len(fib)):
-            return _result(1, "permutree counts n=4", False, f"delta={d}")
-        if str(d) in anchors and c != anchors[str(d)]:
-            return _result(1, "permutree counts n=4", False, f"anchor {d}: {c}")
-    return _result(1, "permutree counts n=4", True, "16 decorations, anchors 24/14/8")
+        _require(c == len(lat) == len(fib), "delta=%s", d)
+        _require(str(d) not in anchors or c == anchors[str(d)], "anchor %s: %s", d, c)
+    return "16 decorations, anchors 24/14/8"
 
 
-def criterion_2(level="full"):
+@_criterion(2, "constructive meet")
+def criterion_2(level):
     """Constructive meet equals the Hasse meet; order is inversion inclusion."""
     nmax = 5 if level == "full" else 4
     pairs_checked = 0
@@ -66,26 +96,25 @@ def criterion_2(level="full"):
             lat = pt.rotation_lattice(d)
             for a in lat.elements:
                 for b in lat.elements:
-                    if vec.meet_via_inversions(a, b) != lat.meet(a, b):
-                        return _result(2, "constructive meet", False, f"{d}: {a} ^ {b}")
+                    meet = vec.meet_via_inversions(a, b)
+                    _require(meet == lat.meet(a, b), "%s: %s ^ %s", d, a, b)
                     strict = lat.leq(a, b) and a != b
-                    if strict != (a.inversion_pairs() < b.inversion_pairs()):
-                        return _result(2, "constructive meet", False, f"order {d}")
+                    _require(strict == (a.inversion_pairs() < b.inversion_pairs()), "order %s", d)
                     pairs_checked += 1
-    return _result(2, "constructive meet", True, f"{pairs_checked} pairs, n <= {nmax}")
+    return f"{pairs_checked} pairs, n <= {nmax}"
 
 
-def criterion_3(level="full"):
+@_criterion(3, "cubical embedding")
+def criterion_3(level):
     """Cubical embedding: injective, corners attained, axis-parallel edges."""
     nmax = 6 if level == "full" else 4
     for n in range(2, nmax + 1):
         for d in pt.normalized_decorations(n):
             lat, emb = vec.cubical_embedding(d)
             vals = list(emb.values())
-            if len(set(vals)) != len(vals):
-                return _result(3, "cubical embedding", False, f"not injective: {d}")
-            if not all(0 <= v[i] <= n - 1 - i for v in vals for i in range(n - 1)):
-                return _result(3, "cubical embedding", False, f"outside box: {d}")
+            _require(len(set(vals)) == len(vals), "not injective: %s", d)
+            inside = all(0 <= v[i] <= n - 1 - i for v in vals for i in range(n - 1))
+            _require(inside, "outside box: %s", d)
             corners = set()
             for mask in range(1 << (n - 1)):
                 corner = tuple(
@@ -93,24 +122,21 @@ def criterion_3(level="full"):
                 )
                 t = vec.extremal_permutree(d, corner)
                 corners.add(t)
-            if len(corners) != 1 << (n - 1):
-                return _result(3, "cubical embedding", False, f"corners collide: {d}")
+            _require(len(corners) == 1 << (n - 1), "corners collide: %s", d)
             for a, b in lat.cover_pairs():
                 diff = [y - x for x, y in zip(emb[a], emb[b])]
                 nz = [x for x in diff if x]
-                if len(nz) != 1 or nz[0] <= 0:
-                    return _result(3, "cubical embedding", False, f"edge not e_i: {d}")
+                _require(len(nz) == 1 and nz[0] > 0, "edge not e_i: %s", d)
     # down^n cubic vectors = classical bracket vectors; none^n = Lehmer codes
     for n in range(3, nmax + 1):
         d = pt.Decoration("n" + "d" * (n - 2) + "n")
         got = {vec.cubic_vector(t) for t in pt.rotation_lattice(d).elements}
-        if got != _bracket_vectors(n):
-            return _result(3, "cubical embedding", False, f"bracket vectors n={n}")
+        _require(got == _bracket_vectors(n), "bracket vectors n=%s", n)
         latn = pt.rotation_lattice(pt.Decoration("n" * n))
         for t in latn.elements:
-            if vec.cubic_vector(t) != wo.lehmer_code(pt.children_first(t)):
-                return _result(3, "cubical embedding", False, f"lehmer n={n}")
-    return _result(3, "cubical embedding", True, f"all decorations, n <= {nmax}")
+            lehmer = wo.lehmer_code(pt.children_first(t))
+            _require(vec.cubic_vector(t) == lehmer, "lehmer n=%s", n)
+    return f"all decorations, n <= {nmax}"
 
 
 def _bracket_vectors(n):
@@ -134,7 +160,8 @@ def _bracket_vectors(n):
     return out
 
 
-def criterion_4(level="full"):
+@_criterion(4, "automata vs patterns")
+def criterion_4(level):
     """Accepted reduced word exists iff the fixed patterns are avoided."""
     nmax_words = 5 if level == "full" else 4
     nmax_search = 6 if level == "full" else 5
@@ -146,16 +173,12 @@ def criterion_4(level="full"):
             aut = am.product(U, D, n)
             for pi in perms:
                 accepted = [w for w in words[pi] if aut.accepts(w)]
-                if bool(accepted) != am.avoids_all(pi, U, D):
-                    return _result(4, "automata vs patterns", False, f"{pi} {U} {D}")
+                _require(bool(accepted) == am.avoids_all(pi, U, D), "%s %s %s", pi, U, D)
                 # prefix closure and same-state
                 finals = {aut.run(w) for w in accepted}
-                if len(finals) > 1:
-                    return _result(4, "automata vs patterns", False, f"same-state {pi}")
-                for w in accepted:
-                    for k in range(len(w)):
-                        if not aut.accepts(w[:k]):
-                            return _result(4, "automata vs patterns", False, "prefix")
+                _require(len(finals) <= 1, "same-state %s", pi)
+                prefixes = all(aut.accepts(w[:k]) for w in accepted for k in range(len(w)))
+                _require(prefixes, "prefix")
     # refined three-case state prediction for single automata, n <= 5
     for n in range(3, min(nmax_words, 5) + 1):
         for j in range(2, n):
@@ -167,30 +190,25 @@ def criterion_4(level="full"):
                 inv_dn = sum(1 for k in range(j + 1, n + 1) if pos[j - 1] > pos[k - 1])
                 finals = {aut.run(w) for w in words}
                 classes = {aut.classify[f] for f in finals}
-                if inv_up == 0 and (len(finals) != 1 or classes != {"healthy"}):
-                    return _result(4, "automata vs patterns", False, f"case1 {pi} j={j}")
+                case1 = inv_up or (len(finals) == 1 and classes == {"healthy"})
+                _require(case1, "case1 %s j=%s", pi, j)
                 if inv_dn == 0:
-                    if len(finals) != 1:
-                        return _result(4, "automata vs patterns", False, f"case2 {pi}")
                     want = (
                         "healthy"
                         if inv_up == 0
                         else ("ill" if am.avoids_fixed_pattern(pi, j, "jki") else "dead")
                     )
-                    if classes != {want}:
-                        return _result(4, "automata vs patterns", False, f"case2 {pi}")
+                    _require(len(finals) == 1 and classes == {want}, "case2 %s", pi)
                 if inv_up and inv_dn:
                     acc_states = {aut.run(w) for w in words if aut.accepts(w)}
-                    if len(acc_states) > 1 or any(
-                        aut.classify[f] != "ill" for f in acc_states
-                    ):
-                        return _result(4, "automata vs patterns", False, f"case3 {pi}")
+                    ill = all(aut.classify[f] == "ill" for f in acc_states)
+                    _require(len(acc_states) <= 1 and ill, "case3 %s", pi)
     # n = nmax_search by algorithmic search (cross-checked inside the op)
     n = nmax_search
     for U, D in _disjoint_pairs(n):
         for pi in wo.all_perms(n):
             am.exists_accepted_word(pi, U, D)
-    return _result(4, "automata vs patterns", True, f"words n<={nmax_words}, search n={nmax_search}")
+    return f"words n<={nmax_words}, search n={nmax_search}"
 
 
 def _disjoint_pairs(n):
@@ -209,32 +227,26 @@ def _disjoint_pairs(n):
     return out
 
 
-def criterion_5(level="full"):
+@_criterion(5, "permutree sorting")
+def criterion_5(level):
     """Sorting returns a reduced word of pi iff pi is (U, D)-minimal."""
     nmax = 6 if level == "full" else 4
     for n in range(3, nmax + 1):
         for U, D in _disjoint_pairs(n):
             for pi in wo.all_perms(n):
                 out = am.permutree_sort(pi, U, D)
-                minimal = am.avoids_all(pi, U, D)
-                if out.sorted != minimal:
-                    return _result(5, "permutree sorting", False, f"{pi} {U} {D}")
-                if out.sorted and wo.evaluate_word(out.word, n) != pi:
-                    return _result(5, "permutree sorting", False, f"word {pi}")
+                _require(out.sorted == am.avoids_all(pi, U, D), "%s %s %s", pi, U, D)
+                _require(not out.sorted or wo.evaluate_word(out.word, n) == pi, "word %s", pi)
     t1 = am.permutree_sort((3, 4, 2, 1), {2}, set())
     t2 = am.permutree_sort((4, 2, 3, 1), {2}, set())
     t3 = am.permutree_sort((5, 4, 2, 1, 3), {2}, {4})
-    ok = (
-        t1.sorted
-        and not t2.sorted
-        and t2.residual == (1, 2, 4, 3)
-        and t3.sorted
-        and t3.word[0] == 3
-    )
-    return _result(5, "permutree sorting", ok, f"worked traces + all (U,D), n <= {nmax}")
+    worked = t1.sorted and not t2.sorted and t2.residual == (1, 2, 4, 3)
+    _require(worked and t3.sorted and t3.word[0] == 3, "worked traces")
+    return f"worked traces + all (U,D), n <= {nmax}"
 
 
-def criterion_6(level="full"):
+@_criterion(6, "coxeter sorting")
+def criterion_6(level):
     """Coxeter sorting equivalences and W-Catalan counts."""
     nmax = 6 if level == "full" else 4
     for n in range(3, nmax + 1):
@@ -246,28 +258,15 @@ def criterion_6(level="full"):
             count = 0
             for pi in perms:
                 word, sortable = am.coxeter_sort(pi, c)
-                if wo.evaluate_word(word, n) != pi:
-                    return _result(6, "coxeter sorting", False, f"c-word wrong {pi}")
-                runs_ok = aut.accepts(word)
+                _require(wo.evaluate_word(word, n) == pi, "c-word wrong %s", pi)
                 avoid = am.avoids_all(pi, U, D)
-                if not (sortable == runs_ok == avoid):
-                    return _result(6, "coxeter sorting", False, f"{pi} c={c}")
-                if n <= 5 and avoid != (
-                    am.lex_min_accepted_word(pi, aut, range(1, n)) is not None
-                ):
-                    return _result(6, "coxeter sorting", False, f"search {pi} c={c}")
+                _require(sortable == aut.accepts(word) == avoid, "%s c=%s", pi, c)
+                if n <= 5:
+                    found = am.lex_min_accepted_word(pi, aut, range(1, n)) is not None
+                    _require(avoid == found, "search %s c=%s", pi, c)
                 count += sortable
-            if count != catalan:
-                return _result(6, "coxeter sorting", False, f"count {count} c={c}")
-    return _result(6, "coxeter sorting", True, f"all Coxeter words, n <= {nmax}")
-
-
-def criterion_7(level="full"):
-    """s-weak order: counts, lattice property, DKK dual, A-closure; a ValidationError fails it."""
-    try:
-        return _criterion_7(level)
-    except ValidationError as exc:
-        return _result(7, "s-weak order", False, str(exc))
+            _require(count == catalan, "count %s c=%s", count, c)
+    return f"all Coxeter words, n <= {nmax}"
 
 
 def _closure(fn, w, A, s):
@@ -278,49 +277,49 @@ def _closure(fn, w, A, s):
         raise ValidationError(f"closure s={s} w={w} A={sorted(A)}: {exc}") from exc
 
 
-def _criterion_7(level):
+@_criterion(7, "s-weak order")
+def criterion_7(level):
+    """s-weak order: counts, lattice property, DKK dual, A-closure."""
     total_cap = 8 if level == "full" else 5
     rng = random.Random(20230)
     tally = Counter()
     comps = _strict_compositions(total_cap)
     for s in comps:
         words = sw.all_words(s)
-        if len(words) != sw.count_s_trees(s):
-            return _result(7, "s-weak order", False, f"count {s}")
+        _require(len(words) == sw.count_s_trees(s), "count %s", s)
         H = sw.s_hasse(s)
-        if len(H) != len(words):
-            return _result(7, "s-weak order", False, f"hasse size {s}")
-        if not _s_lattice_ok(H, s, tally):
-            return _result(7, "s-weak order", False, f"lattice {s}")
+        _require(len(H) == len(words), "hasse size %s", s)
+        _require(_s_lattice_ok(H, s, tally), "lattice %s", s)
         Hd = og.hasse_from_adjacency(s)
-        if not isomorphic_via(H, Hd, {w: w for w in H.elements}):
-            return _result(7, "s-weak order", False, f"DKK dual {s}")
+        _require(isomorphic_via(H, Hd, {w: w for w in H.elements}), "DKK dual %s", s)
+        faces = []
         if sum(s) <= 6:
             for w in words:
                 asc = sw.ascents(w)
-                for r in range(len(asc) + 1):
-                    for A in combinations(asc, r):
-                        got = _closure(sw.add_ascents, w, A, s)
-                        if got != _closure(sw.add_ascents_fixpoint, w, A, s):
-                            return _result(7, "s-weak order", False, f"closure {s} {w} {A}")
+                faces += [(w, A) for r in range(len(asc) + 1) for A in combinations(asc, r)]
+            tally["faces"] += len(faces)
         else:
             for _ in range(60):
                 w = words[rng.randrange(len(words))]
-                asc = sw.ascents(w)
-                A = [p for p in asc if rng.random() < 0.5]
-                if _closure(sw.add_ascents, w, A, s) != _closure(sw.add_ascents_fixpoint, w, A, s):
-                    return _result(7, "s-weak order", False, f"closure {s} {w} {A}")
+                faces.append((w, [p for p in sw.ascents(w) if rng.random() < 0.5]))
+            tally["sampled_faces"] += len(faces)
+        for w, A in faces:
+            got = _closure(sw.add_ascents, w, A, s)
+            want = _closure(sw.add_ascents_fixpoint, w, A, s)
+            _require(got == want, "closure %s %s %s", s, w, A)
     s = (1, 1, 2, 1, 3, 1, 2)
     w = (3, 3, 7, 2, 5, 4, 5, 5, 7, 1, 6)
-    if sw.add_ascents(w, {(2, 5), (5, 7), (1, 6)}, s) != (3, 3, 7, 7, 5, 2, 4, 5, 5, 6, 1):
-        return _result(7, "s-weak order", False, "worked example")
-    anchors = len(sw.s_hasse((1, 2, 1))) == 8 and len(sw.s_hasse((1, 2, 2))) == 15
-    detail = (
+    got = sw.add_ascents(w, {(2, 5), (5, 7), (1, 6)}, s)
+    _require(got == (3, 3, 7, 7, 5, 2, 4, 5, 5, 6, 1), "worked example")
+    _require(len(sw.s_hasse((1, 2, 1))) == 8 and len(sw.s_hasse((1, 2, 2))) == 15, "anchors")
+    return (
         f"all strict |s| <= {total_cap}; all-pairs is_lattice on {tally['is_lattice']} of "
         f"{len(comps)}; joins of all {tally['sibling_joins']} sibling pairs, "
         f"{tally['add_ascents_joins']} of them (|s| <= 6) also equal to add_ascents"
+        f"; add_ascents equal to add_ascents_fixpoint on all {tally['faces']} faces (w, A) "
+        f"with |s| <= {min(total_cap, 6)} and on {tally['sampled_faces']} random ones, "
+        f"60 per s, above"
     )
-    return _result(7, "s-weak order", anchors, detail)
 
 
 def _s_lattice_ok(H, s, tally):
@@ -361,11 +360,11 @@ def _s_lattice_ok(H, s, tally):
     return True
 
 
-def criterion_8(level="full"):
+@_criterion(8, "flow machinery")
+def criterion_8(level):
     """Flow machinery: Kostant fixture, DP vs enumeration, Lidskii."""
     G = fl.example_graph()
-    if fl.kostant(G, (0, 1, 1, -2)) != 2:
-        return _result(8, "flow machinery", False, "K_G(0,1,1,-2)")
+    _require(fl.kostant(G, (0, 1, 1, -2)) == 2, "K_G(0,1,1,-2)")
     fixtures = [G]
     for s in [(1, 2, 1), (2, 2), (1, 1, 2)]:
         fixtures.append(og.build_oru(s))
@@ -373,36 +372,29 @@ def criterion_8(level="full"):
         fixtures.append(bi.build_bic(pt.Decoration(dstr)))
     for graph in fixtures:
         for a in [fl.netflow_i(graph), fl.netflow_d(graph)]:
-            if fl.kostant(graph, a) != len(fl.integer_flows(graph, a)):
-                return _result(8, "flow machinery", False, "DP != enumeration")
+            _require(fl.kostant(graph, a) == len(fl.integer_flows(graph, a)), "DP != enumeration")
     total_cap = 8 if level == "full" else 5
     for s in _strict_compositions(total_cap):
         graph = og.build_oru(s)
-        if fl.lidskii_volume(graph, fl.netflow_i(graph)) != fl.kostant(
-            graph, fl.netflow_d(graph)
-        ):
-            return _result(8, "flow machinery", False, f"lidskii oru {s}")
-        if fl.kostant(graph, fl.netflow_d(graph)) != sw.count_s_trees(s):
-            return _result(8, "flow machinery", False, f"volume chain {s}")
+        volume = fl.kostant(graph, fl.netflow_d(graph))
+        _require(fl.lidskii_volume(graph, fl.netflow_i(graph)) == volume, "lidskii oru %s", s)
+        _require(volume == sw.count_s_trees(s), "volume chain %s", s)
     nmax = 5 if level == "full" else 4
     for n in range(2, nmax + 1):
         for d in pt.normalized_decorations(n):
             graph = bi.build_bic(d)
-            if fl.lidskii_volume(graph, fl.netflow_i(graph)) != fl.kostant(
-                graph, fl.netflow_d(graph)
-            ):
-                return _result(8, "flow machinery", False, f"lidskii bic {d}")
+            volume = fl.kostant(graph, fl.netflow_d(graph))
+            _require(fl.lidskii_volume(graph, fl.netflow_i(graph)) == volume, "lidskii bic %s", d)
     for s2 in range(0, 5):
         for s3 in range(0, 5):
             rep = og.lidskii_identities((1, s2, s3))
-            if not rep["equal"]:
-                return _result(8, "flow machinery", False, f"identity (1,{s2},{s3})")
-    if not og.lidskii_identities((1, 0, 1))["equal"]:
-        return _result(8, "flow machinery", False, "negative-term case")
-    return _result(8, "flow machinery", True, f"oru |s|<={total_cap}, bic n<={nmax}")
+            _require(rep["equal"], "identity (1,%s,%s)", s2, s3)
+    _require(og.lidskii_identities((1, 0, 1))["equal"], "negative-term case")
+    return f"oru |s|<={total_cap}, bic n<={nmax}"
 
 
-def criterion_9(level="full"):
+@_criterion(9, "tropical realization")
+def criterion_9(level):
     """Tropical realization, exact rationals, zero tolerance."""
     total_cap = 7 if level == "full" else 4
     for s in _strict_compositions(total_cap, min_total=2):
@@ -413,12 +405,10 @@ def criterion_9(level="full"):
         try:
             R = og.realize(s, eps)  # checks admissibility, then scalars and directions
         except ValidationError as exc:
-            return _result(9, "tropical realization", False, f"admissibility {s}: {exc.witness}")
-        if len(R.vertices) != sw.count_s_trees(s):
-            return _result(9, "tropical realization", False, f"vertex count {s}")
+            raise _Failed(f"admissibility {s}: {exc.witness}") from exc
+        _require(len(R.vertices) == sw.count_s_trees(s), "vertex count %s", s)
         cs = R.coordinate_sum()
-        if any(sum(ptn) != cs for ptn in R.vertices.values()):
-            return _result(9, "tropical realization", False, f"hyperplane {s}")
+        _require(all(sum(ptn) == cs for ptn in R.vertices.values()), "hyperplane %s", s)
         # support zonotope: all e_a - e_c edges have exact length 2 s_c eps^(c-a)
         for sigma in permutations(range(1, n + 1)):
             for k in range(n - 1):
@@ -434,12 +424,12 @@ def criterion_9(level="full"):
                     lam if i == a else (-lam if i == c else Fraction(0))
                     for i in range(1, n + 1)
                 )
-                if tuple(x - y for x, y in zip(v2, v1)) != want:
-                    return _result(9, "tropical realization", False, f"zonotope {s}")
-    return _result(9, "tropical realization", True, f"all strict |s| <= {total_cap}")
+                _require(tuple(x - y for x, y in zip(v2, v1)) == want, "zonotope %s", s)
+    return f"all strict |s| <= {total_cap}"
 
 
-def criterion_10(level="full"):
+@_criterion(10, "bicho recovery")
+def criterion_10(level):
     """Bicho recovery: counts, dual lattice, bijection, conjecture reports."""
     nmax = 5 if level == "full" else 4
     for n in range(2, nmax + 1):
@@ -447,48 +437,42 @@ def criterion_10(level="full"):
             graph = bi.build_bic(d)
             flows_n = fl.kostant(graph, bi.netflow_d(graph))
             cliques = fl.max_cliques(graph)
-            trees_n = pt.count_permutrees(d)
-            if not (flows_n == len(cliques) == trees_n):
-                return _result(10, "bicho recovery", False, f"counts {d}")
+            _require(flows_n == len(cliques) == pt.count_permutrees(d), "counts %s", d)
             lat = pt.rotation_lattice(d)
             dual = bi.rotation_from_adjacency(d)
             mapping = {T: bi.permutree_clique(T) for T in lat.elements}
-            if set(mapping.values()) != set(cliques):
-                return _result(10, "bicho recovery", False, f"cliques {d}")
-            if not isomorphic_via(lat, dual, mapping):
-                return _result(10, "bicho recovery", False, f"dual poset {d}")
+            _require(set(mapping.values()) == set(cliques), "cliques %s", d)
+            _require(isomorphic_via(lat, dual, mapping), "dual poset %s", d)
             if set(d.symbols) <= {"n", "d"}:
                 for T in lat.elements:
-                    if bi.dflow_to_permutree(bi.permutree_to_dflow(T), d) != T:
-                        return _result(10, "bicho recovery", False, f"roundtrip {d}")
+                    back = bi.dflow_to_permutree(bi.permutree_to_dflow(T), d)
+                    _require(back == T, "roundtrip %s", d)
             rep = bi.check_conjectures(d)
-            if rep["conjecture_2"] != "PASS" or rep.get("conjecture_1") == "FAIL":
-                return _result(10, "bicho recovery", False, f"conjectures {d}")
-    return _result(10, "bicho recovery", True, f"all decorations, n <= {nmax}")
+            conjectures = rep["conjecture_2"] == "PASS" and rep.get("conjecture_1") != "FAIL"
+            _require(conjectures, "conjectures %s", d)
+    return f"all decorations, n <= {nmax}"
 
 
-def criterion_11(level="full"):
+@_criterion(11, "clique oracle")
+def criterion_11(level):
     """Generic clique oracle matches delta_w; non-transitivity witness."""
     total_cap = 6 if level == "full" else 4
     for s in _strict_compositions(total_cap):
         graph = og.build_oru(s)
         mc = set(fl.max_cliques(graph))
         dw = {og.delta_w(w, s) for w in sw.all_words(s)}
-        if mc != dw:
-            return _result(11, "clique oracle", False, f"{s}")
+        _require(mc == dw, "%s", s)
     G = fl.example_graph()
     rs = fl.routes(G)
     exceptional = [r for r in rs if all(fl.coherent(G, r, t) for t in rs)]
     conflicting = [
         (p, q) for p, q in combinations(rs, 2) if not fl.coherent(G, p, q)
     ]
-    ok = len(rs) == 5 and len(exceptional) == 3 and len(conflicting) == 1
-    if ok:
-        p, q = conflicting[0]
-        r1 = exceptional[0]
-        ok = fl.coherent(G, r1, p) and fl.coherent(G, r1, q)
-        ok = ok and len(fl.max_cliques(G)) == 2
-    return _result(11, "clique oracle", ok, f"oru(s) |s| <= {total_cap} + witness")
+    _require(len(rs) == 5 and len(exceptional) == 3 and len(conflicting) == 1, "witness counts")
+    (p, q), r1 = conflicting[0], exceptional[0]
+    coherent = fl.coherent(G, r1, p) and fl.coherent(G, r1, q)
+    _require(coherent and len(fl.max_cliques(G)) == 2, "witness coherence")
+    return f"oru(s) |s| <= {total_cap} + witness"
 
 
 ALL_CRITERIA = [

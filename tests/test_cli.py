@@ -259,6 +259,7 @@ MALFORMED_GRAPHS = {  # variants of perfbench/data/graph_nxdn.json, and an empty
     "framing a list": lambda d: {**d, "framing": []},
     "top level a list": lambda d: [d],
     "edge id repeated": lambda d: {**d, "edges": d["edges"] + d["edges"][:1]},
+    "vertices beyond the edges": lambda d: {"vertices": 3000000, "edges": [], "framing": {}},
 }
 
 
