@@ -6,8 +6,10 @@ parent/two children, 'u' two parents/one child, 'x' two of each.  Nodes in a
 left slot are smaller than the slot owner, nodes in a right slot larger.
 
 Trees compare equal exactly when they share decoration and inversion set
-{(i, j) : i < j and j is a descendant of i}; the slot structure is canonical
-given those data.
+B(T) = {(i, j) : i < j and j is a descendant of i}; the slot structure is
+canonical given those data.  A tree holds B(T) as one bitmask row per node
+(bit j of row i set iff (i, j) is in B(T)), its identity; the pair set and
+the string key are read off the rows.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def normalized_decorations(n):
 
 
 class Permutree:
-    __slots__ = ("n", "delta", "children", "parents", "_inv", "_adj", "_hash")
+    __slots__ = ("n", "delta", "children", "parents", "_rows", "_inv", "_adj", "_hash")
 
     def __init__(self, n, delta, children):
         self.n = n
@@ -124,22 +126,37 @@ class Permutree:
                 if c is not None:
                     parents[c - 1][0 if p < c else -1] = p
         self.parents = tuple(map(tuple, parents))
+        self._rows = None
         self._inv = None
         self._adj = None
         self._hash = None
 
-    def inversion_pairs(self):
-        """B(T) = {(i, j) : i < j and j a descendant of i}, in one children-first pass."""
-        if self._inv is None:
-            n = self.n
-            below = [0] * (n + 1)  # bit j of below[v]: j is a descendant of v
+    def inversion_rows(self):
+        """B(T) as a tuple over 0..n: bit j of row i is set iff (i, j) is in
+        B(T), i.e. i < j and j a descendant of i; built in one children-first pass."""
+        if self._rows is None:
+            below = [0] * (self.n + 1)  # bit j of below[v]: j is a descendant of v
             for v in children_first(self):
                 for c in self.children[v - 1]:
                     if c is not None:
                         below[v] |= below[c] | 1 << c
-            self._inv = frozenset(
-                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if below[i] >> j & 1
-            )
+            self._rows = tuple(b >> i + 1 << i + 1 for i, b in enumerate(below))
+        return self._rows
+
+    def sorted_inversion_pairs(self):
+        """The pairs of B(T) in increasing order, read off the rows."""
+        out = []
+        for i, row in enumerate(self.inversion_rows()):
+            while row:
+                low = row & -row
+                out.append((i, low.bit_length() - 1))
+                row ^= low
+        return out
+
+    def inversion_pairs(self):
+        """B(T) = {(i, j) : i < j and j a descendant of i}, decoded from the rows."""
+        if self._inv is None:
+            self._inv = frozenset(self.sorted_inversion_pairs())
         return self._inv
 
     def slot_component(self, i, start):
@@ -188,20 +205,20 @@ class Permutree:
         return (
             isinstance(other, Permutree)
             and self.delta == other.delta
-            and self.inversion_pairs() == other.inversion_pairs()
+            and self.inversion_rows() == other.inversion_rows()
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.delta.symbols, self.inversion_pairs()))
+            self._hash = hash((self.delta.symbols, self.inversion_rows()))
         return self._hash
 
     def __repr__(self):
-        return f"Permutree({self.delta}, B={sorted(self.inversion_pairs())})"
+        return f"Permutree({self.delta}, B={self.sorted_inversion_pairs()})"
 
     def key(self) -> str:
         """Canonical string key: the sorted inversion pair list."""
-        return ";".join(f"{i},{j}" for i, j in sorted(self.inversion_pairs()))
+        return ";".join(f"{i},{j}" for i, j in self.sorted_inversion_pairs())
 
     def to_json(self):
         slots = []
@@ -212,6 +229,14 @@ class Permutree:
             else:
                 slots.append({"D": cs[0]})
         return {"n": self.n, "delta": str(self.delta), "children": slots}
+
+
+def _rows_of_pairs(pairs, n):
+    """Pairs (i, j) as rows over 0..n, laid out as `Permutree.inversion_rows`."""
+    rows = [0] * (n + 1)
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return tuple(rows)
 
 
 def permutree_from_json(data) -> Permutree:
@@ -340,7 +365,7 @@ def _tree_from_pairs(pairs, delta) -> Permutree:
     """Internal reconstruction: minimal linear extension of the pair set, then insert."""
     pi = perm_from_inversions(pairs, delta.n)
     tree = insert(pi, delta)
-    if tree.inversion_pairs() != frozenset(pairs):
+    if tree.inversion_rows() != _rows_of_pairs(pairs, delta.n):
         raise ValidationError("pair set is not the inversion set of any permutree")
     return tree
 
@@ -363,8 +388,9 @@ def rotate(tree, edge) -> Permutree:
 
     Every edge cut survives except the one of the rotated edge; on inversion
     sets this is the transitive closure of adding (i, j), checked on the
-    result.  j takes i's right (or only) child slot and i takes j's left (or
-    only) parent slot; the two nodes displaced fill the slots that held i, j.
+    result's rows.  j takes i's right (or only) child slot and i takes j's
+    left (or only) parent slot; the two nodes displaced fill the slots that
+    held i, j.
     """
     i, j = edge
     if not (1 <= i < j <= tree.n):
@@ -378,8 +404,8 @@ def rotate(tree, edge) -> Permutree:
     if up is not None:
         children[up - 1][children[up - 1].index(j)] = i
     out = Permutree(tree.n, tree.delta, tuple(map(tuple, children)))
-    closure = transitive_closure_pairs(tree.inversion_pairs() | {(i, j)}, tree.n)
-    if out.inversion_pairs() != closure:
+    closure = transitive_closure_pairs(tree.sorted_inversion_pairs() + [(i, j)], tree.n)
+    if out.inversion_rows() != _rows_of_pairs(closure, tree.n):
         raise ValidationError("rotated slots disagree with the closure of B(T) + (i, j)", edge)
     return out
 
@@ -396,8 +422,14 @@ def rotation_lattice(delta, cap=None) -> Hasse:
     return hasse_by_bfs(
         bottom(delta),
         lambda tree: [rotate(tree, edge) for edge in increasing_rotations(tree)],
-        key=lambda t: (len(t.inversion_pairs()), sorted(t.inversion_pairs())),
+        key=_size_then_pairs,
     )
+
+
+def _size_then_pairs(tree):
+    """The lattice's listing order: |B(T)|, then the sorted pairs."""
+    pairs = tree.sorted_inversion_pairs()
+    return len(pairs), pairs
 
 
 def count_permutrees(delta, cap=None) -> int:

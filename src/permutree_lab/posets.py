@@ -113,20 +113,27 @@ class Hasse:
 
 def hasse_by_bfs(bottom, up_covers, key=None) -> Hasse:
     """Hasse diagram of everything above `bottom`, found by BFS over the
-    covers `up_covers(x)` and listed sorted by `key`."""
-    seen = {bottom}
+    covers `up_covers(x)` and listed sorted by `key`.
+
+    One instance is kept per element: an up-cover equal to an element
+    already seen is replaced at once by that element's first instance, so
+    the copy is freed during the search.
+    """
+    seen = {bottom: bottom}
     frontier = [bottom]
-    covers = []
+    covers = set()
     while frontier:
         nxt = []
         for x in frontier:
             for y in up_covers(x):
-                covers.append((x, y))
-                if y not in seen:
-                    seen.add(y)
+                if y in seen:
+                    y = seen[y]
+                else:
+                    seen[y] = y
                     nxt.append(y)
+                covers.add((x, y))
         frontier = nxt
-    return Hasse(sorted(seen, key=key), set(covers))
+    return Hasse(sorted(seen, key=key), covers)
 
 
 def isomorphic_via(hasse_a, hasse_b, mapping):

@@ -29,8 +29,8 @@ def inversion_set(tree) -> frozenset:
 
 
 def inversion_vector(tree):
-    b = inversion_set(tree)
-    return tuple(sum(1 for p in b if p[0] == i) for i in range(1, tree.n))
+    """Entry i (1 <= i < n) counts the pairs (i, j) of B(T): the bits of row i."""
+    return tuple(row.bit_count() for row in tree.inversion_rows()[1 : tree.n])
 
 
 def validate_inversion_set(pairs, delta):

@@ -420,6 +420,30 @@ def test_inversion_pairs_match_descendants():
                 want = {(i, j) for i in range(1, n + 1) for j in below(t, i) if j > i}
                 assert fresh.inversion_pairs() == want
                 assert fresh.parents == t.parents
+                rows = fresh.inversion_rows()
+                assert len(rows) == n + 1
+                bits = {(i, j) for i, r in enumerate(rows) for j in range(n + 2) if r >> j & 1}
+                assert bits == want
+
+
+def test_rows_are_the_identity():
+    # trees inserted from different permutations are different objects;
+    # they must be equal exactly when decoration and inversion set agree
+    trees = [pt.insert(pi, d) for d in pt.normalized_decorations(5) for pi in wo.all_perms(5)]
+    by_delta, by_pairs = {}, {}
+    for t in trees:
+        pairs = t.inversion_pairs()
+        assert t.key() == ";".join(f"{i},{j}" for i, j in sorted(pairs))
+        by_delta.setdefault(t.delta, []).append(t)
+        by_pairs.setdefault(pairs, []).append(t)
+    # a pair with neither in common differs in its rows, so these groups
+    # hold every pair that can compare equal or share rows
+    for group in [*by_delta.values(), *by_pairs.values()]:
+        for a in group:
+            for b in group:
+                same = a.delta == b.delta and a.inversion_pairs() == b.inversion_pairs()
+                assert (a == b) == same
+                assert not same or hash(a) == hash(b)
 
 
 def test_rotate_checks_the_closure():

@@ -2,15 +2,21 @@
 
 Every poset is listed in an order that is not a linear extension, so the
 linear extension `Hasse` builds for its bitmasks differs from the list order.
+`hasse_by_bfs` is checked against the builder that kept every up-cover.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutree_lab import permutree as pt
+from permutree_lab import s_weak_order as sw
+from permutree_lab import verify
+from permutree_lab import weak_order as wo
 from permutree_lab.errors import ValidationError
 from permutree_lab.permutree import rotation_lattice
 from permutree_lab.posets import Hasse, isomorphic_via
@@ -127,3 +133,51 @@ def test_masks_are_built_on_the_first_order_query():
     assert "down" not in vars(H)
     assert H.leq(bottom, top) and not H.leq(top, bottom)
     assert len(vars(H)["down"]) == 5040
+
+
+def hasse_by_bfs_oracle(bottom, up_covers, key=None):
+    """The BFS builder that keeps every up-cover it is given until `Hasse`
+    is built, as an oracle for the one that keeps one instance per element."""
+    seen = {bottom}
+    frontier = [bottom]
+    covers = []
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in up_covers(x):
+                covers.append((x, y))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return Hasse(sorted(seen, key=key), set(covers))
+
+
+@pytest.mark.parametrize(
+    "module, build, args",
+    [(pt, pt.rotation_lattice, [d for n in range(6) for d in pt.normalized_decorations(n)])]
+    + [(sw, sw.s_hasse, verify._strict_compositions(5))]
+    + [(wo, wo.weak_order_hasse, range(1, 6))],
+    ids=["rotation_lattice", "s_hasse", "weak_order_hasse"],
+)
+def test_bfs_matches_the_oracle(monkeypatch, module, build, args):
+    for arg in args:
+        got = build(arg)
+        with monkeypatch.context() as m:
+            m.setattr(module, "hasse_by_bfs", hasse_by_bfs_oracle)
+            want = build(arg)
+        assert got.elements == want.elements
+        assert got.cover_pairs() == want.cover_pairs()
+
+
+def test_bfs_keeps_no_copies():
+    # a rotated tree equal to one already seen is dropped during the search,
+    # so the peak of the build stays close to what the diagram itself holds
+    tracemalloc.start()
+    try:
+        H = rotation_lattice("nnnnnn")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(H) == 720
+    assert peak <= 1.5 * held

@@ -118,6 +118,15 @@ def test_covers_add_one_pair_transitively():
             assert b.inversion_pairs() in closures
 
 
+def test_inversion_vector_counts_the_pairs():
+    for n in range(6):
+        for d in pt.normalized_decorations(n):
+            for t in pt.rotation_lattice(d).elements:
+                pairs = t.inversion_pairs()
+                want = tuple(sum(p[0] == i for p in pairs) for i in range(1, n))
+                assert vec.inversion_vector(t) == want
+
+
 def test_cubic_vector_examples():
     lat = pt.rotation_lattice(pt.Decoration("nxn"))
     by_inv = {t.inversion_pairs(): t for t in lat.elements}
