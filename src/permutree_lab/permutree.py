@@ -9,12 +9,15 @@ Trees compare equal exactly when they share decoration and inversion set
 B(T) = {(i, j) : i < j and j is a descendant of i}; the slot structure is
 canonical given those data.  A tree holds B(T) as one bitmask row per node
 (bit j of row i set iff (i, j) is in B(T)), its identity; the pair set and
-the string key are read off the rows.
+the string key are read off the rows.  `insert` fills the rows as it places
+the nodes; `children_first` derives them for trees from `rotate` and
+`permutree_from_json`.  One rooted walk gives every slot's component.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import product
 
 from .caps import require_cap
 from .errors import ValidationError
@@ -95,45 +98,39 @@ def parse_decoration(text) -> Decoration:
 
 
 def normalized_decorations(n):
-    """All 4^(n-2) decorations with ends already 'n', lexicographic."""
+    """All 4^(n-2) decorations with ends already 'n', lexicographic in 'ndux'."""
     if n <= 2:
         return [Decoration("n" * n)]
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n - 2:
-            out.append(Decoration("n" + "".join(prefix) + "n"))
-            return
-        for c in SYMBOLS:
-            rec(prefix + [c])
-
-    rec([])
-    return out
+    return [Decoration("n" + "".join(mid) + "n") for mid in product(SYMBOLS, repeat=n - 2)]
 
 
 class Permutree:
-    __slots__ = ("n", "delta", "children", "parents", "_rows", "_inv", "_adj", "_hash")
+    __slots__ = ("n", "delta", "children", "parents", "_rows", "_inv", "_hash")
 
-    def __init__(self, n, delta, children):
+    def __init__(self, n, delta, children, rows=None):
         self.n = n
         self.delta = delta
         self.children = children  # tuple over 1..n of slot tuples, entries node|None
         # each child slot is mirrored in a parent slot; a node with two parent
         # slots keeps its smaller parent on the left
-        parents = [[None, None] if delta[v] in UPISH else [None] for v in range(1, n + 1)]
+        parents = [[None, None] if s in UPISH else [None] for s in delta.symbols]
         for p, slots in enumerate(children, 1):
             for c in slots:
                 if c is not None:
                     parents[c - 1][0 if p < c else -1] = p
         self.parents = tuple(map(tuple, parents))
-        self._rows = None
+        self._rows = rows  # given by `insert`, else derived on the first query
         self._inv = None
-        self._adj = None
         self._hash = None
 
     def inversion_rows(self):
         """B(T) as a tuple over 0..n: bit j of row i is set iff (i, j) is in
-        B(T), i.e. i < j and j a descendant of i; built in one children-first pass."""
+        B(T), i.e. i < j and j a descendant of i; filled by `insert`, or
+        built in one children-first pass.
+
+        >>> insert((4, 1, 3, 2, 5), "nnnnn").inversion_rows()
+        (0, 16, 24, 16, 0, 0)
+        """
         if self._rows is None:
             below = [0] * (self.n + 1)  # bit j of below[v]: j is a descendant of v
             for v in children_first(self):
@@ -159,47 +156,9 @@ class Permutree:
             self._inv = frozenset(self.sorted_inversion_pairs())
         return self._inv
 
-    def slot_component(self, i, start):
-        """Nodes of the component of T - v_i containing the slot occupant `start`.
-
-        Subtrees in the permutree sense are components of the unrooted tree,
-        so they may climb through the second parent of a node below i.
-        """
-        if start is None:
-            return frozenset()
-        adj = self.undirected_adjacency()
-        seen = {i, start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen - {i})
-
-    def child_components(self, i):
-        """One component per child slot (empty frozenset for boundary slots)."""
-        return tuple(self.slot_component(i, c) for c in self.children[i - 1])
-
-    def parent_components(self, i):
-        return tuple(self.slot_component(i, p) for p in self.parents[i - 1])
-
     def direct_edges(self):
         """Edges (child, parent) of the underlying tree."""
-        out = []
-        for p in range(1, self.n + 1):
-            for c in self.children[p - 1]:
-                if c is not None:
-                    out.append((c, p))
-        return out
-
-    def undirected_adjacency(self):
-        """Neighbours of each node (index 0 unused), built once per tree."""
-        if self._adj is None:
-            slots = zip(self.children, self.parents)
-            self._adj = ((),) + tuple(tuple(v for v in c + p if v is not None) for c, p in slots)
-        return self._adj
+        return [(c, p) for p, cs in enumerate(self.children, 1) for c in cs if c is not None]
 
     def __eq__(self, other):
         return (
@@ -292,37 +251,43 @@ def insert(pi, delta) -> Permutree:
     if delta.n != n:
         raise ValidationError(f"decoration size {delta.n} != permutation size {n}")
 
+    syms = delta.symbols
     children = [None] * n
+    below = [0] * (n + 1)  # bit j of below[v]: j is a descendant of v
     # zones are column intervals (lo, hi) between active walls; each carries the
     # string top: None or the node whose parent slot the string leaves
-    walls = [i for i in range(1, n + 1) if delta[i] in DOWNISH]
+    walls = [i for i, s in enumerate(syms, 1) if s in DOWNISH]
     bounds = [0] + walls + [n + 1]
     zones = [[bounds[k], bounds[k + 1], None] for k in range(len(bounds) - 1)]
 
     for v in pi:
-        dv = delta[v]
+        dv = syms[v - 1]
         if dv in DOWNISH:
             z = next(k for k, zone in enumerate(zones) if zone[1] == v)
             zone, right = zones[z], zones.pop(z + 1)
-            children[v - 1] = (zone[2], right[2])
+            cs = children[v - 1] = (zone[2], right[2])
             zone[1] = right[1]
         else:
             z = next(k for k, zone in enumerate(zones) if zone[0] < v < zone[1])
             zone = zones[z]
-            children[v - 1] = (zone[2],)
+            cs = children[v - 1] = (zone[2],)
+        for c in cs:
+            if c is not None:
+                below[v] |= below[c] | 1 << c
         if dv in UPISH:
             zones[z : z + 1] = [[zone[0], v, v], [v, zone[1], v]]
         else:
             zone[2] = v
 
-    return Permutree(n, delta, tuple(children))
+    rows = tuple(b >> i + 1 << i + 1 for i, b in enumerate(below))
+    return Permutree(n, delta, tuple(children), rows)
 
 
 def children_first(tree):
     """The least linear extension of `tree`, children before parents, by a
     heap-ordered Kahn pass; cut short when nodes wait on a cycle, or on a
     child slot whose parent slot another parent took."""
-    waiting = [sum(c is not None for c in cs) for cs in tree.children]
+    waiting = [len(cs) - cs.count(None) for cs in tree.children]
     ready = [v for v in range(1, tree.n + 1) if not waiting[v - 1]]  # sorted, so a heap
     order = []
     while ready:
@@ -340,7 +305,7 @@ def linear_extensions(tree):
     """The fiber of the insertion map: all topological orders, children first."""
     n = tree.n
     parents_of = [[p for p in ps if p is not None] for ps in tree.parents]
-    pending = [sum(c is not None for c in cs) for cs in tree.children]
+    pending = [len(cs) - cs.count(None) for cs in tree.children]
     out = []
 
     def rec(avail, placed):
@@ -508,6 +473,32 @@ def insertion_fibers(delta):
     return fibers
 
 
+def slot_sides(tree):
+    """`side(i, c)`: the component of T - v_i behind i's slot holding c, as a
+    bitmask over the nodes (0 for an empty slot).  Components may climb
+    through the second parent of a node below i; one walk of the undirected
+    tree from node 1 gives each node's mask of itself and all beyond it."""
+    n = tree.n
+    up = [0] * (n + 1)  # each node's neighbour towards the root; 0 at the root
+    order = [1] if n else []
+    for v in order:  # grows while read: a breadth-first walk
+        for w in tree.children[v - 1] + tree.parents[v - 1]:
+            if w is not None and w != up[v]:
+                up[w] = v
+                order.append(w)
+    mask = [1 << v for v in range(n + 1)]
+    for v in reversed(order):
+        mask[up[v]] |= mask[v]
+    outside = (1 << n + 1) - 2
+
+    def side(i, c):
+        if c is None:
+            return 0
+        return mask[c] if up[c] == i else outside ^ mask[i]
+
+    return side
+
+
 def permutreehedron_vertex(tree):
     """Vertex coordinates of the permutreehedron; all points sum to C(n+1, 2).
 
@@ -515,27 +506,27 @@ def permutreehedron_vertex(tree):
     below a slot can climb back up through two-parent nodes), not just nodes
     reachable by directed paths.
     """
+    side = slot_sides(tree)
     coords = []
-    for i in range(1, tree.n + 1):
-        below = tree.child_components(i)
-        above = tree.parent_components(i)
-        a = 1 + sum(len(c) for c in below)
-        if tree.delta[i] in DOWNISH:
-            a += len(below[0]) * len(below[1])
-        if tree.delta[i] in UPISH:  # both adjustments apply when the symbol is 'x'
-            a -= len(above[0]) * len(above[1])
+    for i, (cs, ps) in enumerate(zip(tree.children, tree.parents), 1):
+        below = [side(i, c).bit_count() for c in cs]
+        above = [side(i, p).bit_count() for p in ps]
+        a = 1 + sum(below)
+        if len(below) == 2:  # downish
+            a += below[0] * below[1]
+        if len(above) == 2:  # upish; both adjustments apply when the symbol is 'x'
+            a -= above[0] * above[1]
         coords.append(a)
     return tuple(coords)
 
 
 def edge_cuts(tree):
     """One ordered partition (I || [n] \\ I) per tree edge, I on the child side."""
+    side = slot_sides(tree)
     nodes = frozenset(range(1, tree.n + 1))
-    cuts = set()
-    for c, p in tree.direct_edges():
-        side = tree.slot_component(p, c)
-        cuts.add((side, nodes - side))
-    return cuts
+    masks = [side(p, c) for c, p in tree.direct_edges()]
+    below = [frozenset(v for v in nodes if mask >> v & 1) for mask in masks]
+    return {(b, nodes - b) for b in below}
 
 
 def lattice_to_json(hasse):

@@ -5,7 +5,8 @@ The inversion set B(T) records directed descendance (pairs (i, j), i < j,
 with j below i); the cubic set C(T) records, per node, the members of the
 right/only child component that exceed the node.  Inversion sets drive the
 meet; cubic vectors embed the rotation lattice into the box
-[0, n-1] x ... x [0, 1].
+[0, n-1] x ... x [0, 1].  Both cubic readings take every slot's component
+as a bitmask from one rooted walk of the tree (`permutree.slot_sides`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .permutree import (
     as_decoration,
     insert,
     rotation_lattice,
+    slot_sides,
 )
 from .weak_order import cotransitivity_witness, transitivity_witness
 
@@ -94,20 +96,23 @@ def meet_via_inversions(tree, other) -> Permutree:
 def cubic_set(tree) -> frozenset:
     """C(T): for downish i the right child component, otherwise the members
     of the only child component larger than i."""
+    side = slot_sides(tree)
     pairs = set()
-    for i in range(1, tree.n + 1):
-        comps = tree.child_components(i)
-        if tree.delta[i] in DOWNISH:
-            members = comps[1]
-        else:
-            members = {j for j in comps[0] if j > i}
-        pairs.update((i, j) for j in members)
+    for i, cs in enumerate(tree.children, 1):
+        behind = side(i, cs[-1])  # for a downish i, all larger than i
+        pairs.update((i, j) for j in range(i + 1, tree.n + 1) if behind >> j & 1)
     return frozenset(pairs)
 
 
 def cubic_vector(tree):
-    c = cubic_set(tree)
-    return tuple(sum(1 for p in c if p[0] == i) for i in range(1, tree.n))
+    """Entry i (1 <= i < n) counts the pairs (i, j) of C(T).
+
+    >>> cubic_vector(insert((4, 1, 3, 2, 5), "nnnnn"))
+    (1, 2, 1, 0)
+    """
+    side = slot_sides(tree)
+    nodes = enumerate(tree.children[:-1], 1)  # 1 <= i < n
+    return tuple((side(i, cs[-1]) >> i + 1).bit_count() for i, cs in nodes)
 
 
 def extremal_permutree(delta, corner) -> Permutree:

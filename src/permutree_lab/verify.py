@@ -99,7 +99,9 @@ def criterion_2(level):
                     meet = vec.meet_via_inversions(a, b)
                     _require(meet == lat.meet(a, b), "%s: %s ^ %s", d, a, b)
                     strict = lat.leq(a, b) and a != b
-                    _require(strict == (a.inversion_pairs() < b.inversion_pairs()), "order %s", d)
+                    rows = zip(a.inversion_rows(), b.inversion_rows())
+                    below = a != b and all(x | y == y for x, y in rows)  # B(a) < B(b)
+                    _require(strict == below, "order %s", d)
                     pairs_checked += 1
     return f"{pairs_checked} pairs, n <= {nmax}"
 

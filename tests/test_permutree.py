@@ -345,6 +345,17 @@ def test_derived_parent_slots_match_the_insertion_oracle():
     assert checked == 8091  # sum over n <= 5 of n! * 4^max(n-2, 0)
 
 
+def test_insert_fills_the_rows_its_slots_give():
+    checked = 0
+    for n in range(1, 7):
+        for d in pt.normalized_decorations(n):
+            for pi in wo.all_perms(n):
+                t = pt.insert(pi, d)
+                assert t.inversion_rows() == pt.Permutree(n, d, t.children).inversion_rows()
+                checked += 1
+    assert checked == 192411  # sum over 1 <= n <= 6 of n! * 4^max(n-2, 0)
+
+
 def test_children_first_is_the_least_linear_extension():
     for n in range(1, 6):
         for d in pt.normalized_decorations(n):

@@ -150,6 +150,81 @@ def test_cubic_reduces_to_lehmer_and_bracket():
                 assert set(comp.get(j, [])) <= set(js)
 
 
+def _component_by_search(tree, i, start):
+    """Oracle: the component of T - v_i holding the slot occupant `start`,
+    by a depth-first search per slot."""
+    if start is None:
+        return frozenset()
+    slots = zip(tree.children, tree.parents)
+    adj = [()] + [tuple(v for v in c + p if v is not None) for c, p in slots]
+    seen = {i, start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen - {i})
+
+
+def _cubic_set_by_search(tree):
+    pairs = set()
+    for i in range(1, tree.n + 1):
+        comps = [_component_by_search(tree, i, c) for c in tree.children[i - 1]]
+        if tree.delta[i] in pt.DOWNISH:
+            members = comps[1]
+        else:
+            members = {j for j in comps[0] if j > i}
+        pairs.update((i, j) for j in members)
+    return frozenset(pairs)
+
+
+def _vertex_by_search(tree):
+    coords = []
+    for i in range(1, tree.n + 1):
+        below = [len(_component_by_search(tree, i, c)) for c in tree.children[i - 1]]
+        above = [len(_component_by_search(tree, i, p)) for p in tree.parents[i - 1]]
+        a = 1 + sum(below)
+        if tree.delta[i] in pt.DOWNISH:
+            a += below[0] * below[1]
+        if tree.delta[i] in pt.UPISH:
+            a -= above[0] * above[1]
+        coords.append(a)
+    return tuple(coords)
+
+
+def _edge_cuts_by_search(tree):
+    nodes = frozenset(range(1, tree.n + 1))
+    sides = [_component_by_search(tree, p, c) for c, p in tree.direct_edges()]
+    return {(side, nodes - side) for side in sides}
+
+
+def _check_cubic(tree):
+    want = _cubic_set_by_search(tree)
+    assert vec.cubic_set(tree) == want
+    assert vec.cubic_vector(tree) == tuple(sum(p[0] == i for p in want) for i in range(1, tree.n))
+
+
+def test_slot_sides_match_the_search_per_slot():
+    # every reading of the slot components against a search per slot
+    checked = 0
+    for n in range(1, 7):
+        for d in pt.normalized_decorations(n):
+            for t in pt.rotation_lattice(d).elements:
+                _check_cubic(t)
+                assert pt.permutreehedron_vertex(t) == _vertex_by_search(t)
+                assert pt.edge_cuts(t) == _edge_cuts_by_search(t)
+                checked += 1
+    assert checked == 37543  # every lattice element with n <= 6
+
+
+def test_cubic_set_matches_the_search_per_slot_on_s7():
+    lat = pt.rotation_lattice(pt.Decoration("nnnnnnn"))
+    assert len(lat) == 5040
+    for t in lat.elements:
+        _check_cubic(t)
+
+
 def test_extremal_corners():
     for d in pt.normalized_decorations(4):
         seen = set()
