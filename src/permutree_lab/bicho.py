@@ -163,11 +163,10 @@ def permutree_to_dflow(tree) -> dict:
     _require_no_ups(delta)
     n = tree.n
     graph = build_bic(delta)
-    inv = tree.inversion_pairs()
+    rows = tree.inversion_rows()
     flow = {e: 0 for e in graph.edges}
-    bump = {i: sum(1 for (j, i2) in inv if i2 == i and j < i) for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        flow[("b", _level(i, n))] = bump[i]
+    for i in range(1, n + 1):  # the bump: the j < i whose row holds i
+        flow[("b", _level(i, n))] = sum(rows[j] >> i & 1 for j in range(1, i))
     # dips are forced by conservation at each inner vertex
     d = netflow_d(graph)
     for v in range(1, n):

@@ -8,10 +8,11 @@ left slot are smaller than the slot owner, nodes in a right slot larger.
 Trees compare equal exactly when they share decoration and inversion set
 B(T) = {(i, j) : i < j and j is a descendant of i}; the slot structure is
 canonical given those data.  A tree holds B(T) as one bitmask row per node
-(bit j of row i set iff (i, j) is in B(T)), its identity; the pair set and
-the string key are read off the rows.  `insert` fills the rows as it places
-the nodes; `children_first` derives them for trees from `rotate` and
-`permutree_from_json`.  One rooted walk gives every slot's component.
+(bit j of row i set iff (i, j) is in B(T), the layout `weak_order` owns), its
+identity; the pair set and the string key are decoded from the rows there.
+`insert` fills the rows as it places the nodes; `children_first` derives
+them for trees from `rotate` and `permutree_from_json`.  One rooted walk
+gives every slot's component.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from .weak_order import (
     all_perms,
     check_perm,
     identity,
+    longest,
+    pairs_of_rows,
     perm_from_inversions,
+    rows_of_pairs,
     transitive_closure_pairs,
 )
 
@@ -142,13 +146,7 @@ class Permutree:
 
     def sorted_inversion_pairs(self):
         """The pairs of B(T) in increasing order, read off the rows."""
-        out = []
-        for i, row in enumerate(self.inversion_rows()):
-            while row:
-                low = row & -row
-                out.append((i, low.bit_length() - 1))
-                row ^= low
-        return out
+        return pairs_of_rows(self.inversion_rows())
 
     def inversion_pairs(self):
         """B(T) = {(i, j) : i < j and j a descendant of i}, decoded from the rows."""
@@ -188,14 +186,6 @@ class Permutree:
             else:
                 slots.append({"D": cs[0]})
         return {"n": self.n, "delta": str(self.delta), "children": slots}
-
-
-def _rows_of_pairs(pairs, n):
-    """Pairs (i, j) as rows over 0..n, laid out as `Permutree.inversion_rows`."""
-    rows = [0] * (n + 1)
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    return tuple(rows)
 
 
 def permutree_from_json(data) -> Permutree:
@@ -330,7 +320,7 @@ def _tree_from_pairs(pairs, delta) -> Permutree:
     """Internal reconstruction: minimal linear extension of the pair set, then insert."""
     pi = perm_from_inversions(pairs, delta.n)
     tree = insert(pi, delta)
-    if tree.inversion_rows() != _rows_of_pairs(pairs, delta.n):
+    if tree.inversion_rows() != rows_of_pairs(pairs, delta.n):
         raise ValidationError("pair set is not the inversion set of any permutree")
     return tree
 
@@ -342,10 +332,9 @@ def bottom(delta) -> Permutree:
 
 
 def top(delta) -> Permutree:
+    """Maximal permutree: the insertion of the longest permutation."""
     delta = as_decoration(delta)
-    n = delta.n
-    full = frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-    return _tree_from_pairs(full, delta)
+    return insert(longest(delta.n), delta)
 
 
 def rotate(tree, edge) -> Permutree:
@@ -370,7 +359,7 @@ def rotate(tree, edge) -> Permutree:
         children[up - 1][children[up - 1].index(j)] = i
     out = Permutree(tree.n, tree.delta, tuple(map(tuple, children)))
     closure = transitive_closure_pairs(tree.sorted_inversion_pairs() + [(i, j)], tree.n)
-    if out.inversion_rows() != _rows_of_pairs(closure, tree.n):
+    if out.inversion_rows() != rows_of_pairs(closure, tree.n):
         raise ValidationError("rotated slots disagree with the closure of B(T) + (i, j)", edge)
     return out
 

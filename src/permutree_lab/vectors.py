@@ -22,7 +22,7 @@ from .permutree import (
     rotation_lattice,
     slot_sides,
 )
-from .weak_order import cotransitivity_witness, transitivity_witness
+from .weak_order import cotransitivity_witness, rows_of_pairs, transitivity_witness
 
 
 def inversion_set(tree) -> frozenset:
@@ -39,9 +39,7 @@ def validate_inversion_set(pairs, delta):
     """Check the four conditions; raise with the witness triple on failure."""
     n = delta.n
     pairs = frozenset(pairs)
-    for i, j in pairs:
-        if not 1 <= i < j <= n:
-            raise ValidationError(f"pair {(i, j)} outside 1 <= i < j <= {n}", witness=(i, j))
+    rows = rows_of_pairs(pairs, n)  # refuses a pair outside 1 <= i < j <= n
     w = transitivity_witness(pairs, n)
     if w is not None:
         raise ValidationError("condition 1 (transitivity) fails", witness=w)
@@ -49,18 +47,17 @@ def validate_inversion_set(pairs, delta):
     if w is not None:
         raise ValidationError("condition 2 (cotransitivity) fails", witness=w)
     for j in range(2, n):
+        above_j = -1 << j + 1
         for i in range(1, j):
-            for k in range(j + 1, n + 1):
-                if delta[j] in DOWNISH and (i, j) not in pairs and (j, k) in pairs:
-                    if (i, k) in pairs:
-                        raise ValidationError(
-                            f"condition 3 fails at delta_{j}={delta[j]}", witness=(i, j, k)
-                        )
-                if delta[j] in UPISH and (i, j) in pairs and (j, k) not in pairs:
-                    if (i, k) in pairs:
-                        raise ValidationError(
-                            f"condition 4 fails at delta_{j}={delta[j]}", witness=(i, j, k)
-                        )
+            if not rows[i] >> j & 1:  # condition 3: (j, k), (i, k) in, (i, j) out
+                cond, bad = 3, rows[j] & rows[i] if delta[j] in DOWNISH else 0
+            else:  # condition 4: (i, j), (i, k) in, (j, k) out
+                cond, bad = 4, ~rows[j] & rows[i] & above_j if delta[j] in UPISH else 0
+            if bad:
+                k = (bad & -bad).bit_length() - 1
+                raise ValidationError(
+                    f"condition {cond} fails at delta_{j}={delta[j]}", witness=(i, j, k)
+                )
     return pairs
 
 

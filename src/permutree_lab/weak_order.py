@@ -5,6 +5,10 @@ appears after the value j in one-line notation, i.e. pi^{-1}(i) > pi^{-1}(j).
 Most libraries use the transposed (position-based) convention; everything in
 this package consistently uses the value-based one, which is the convention
 that matches tables of permutations with trees.
+
+This module owns the one layout of an inversion set, rows over 0..n with bit
+j of row i set iff (i, j) is in the set; each pair-set function here encodes
+the pairs, runs a row kernel and decodes.
 """
 
 from __future__ import annotations
@@ -42,39 +46,102 @@ def inverse(pi) -> Perm:
     return tuple(inv)
 
 
+def rows_of_perm(pi):
+    """The inversions of pi as rows over 0..n, from one left-to-right scan:
+    row v is the mask of the larger values placed before v.
+
+    >>> rows_of_perm((4, 1, 3, 2, 5))
+    (0, 16, 24, 16, 0, 0)
+    """
+    rows = [0] * (len(pi) + 1)
+    seen = 0
+    for v in pi:
+        rows[v] = seen >> v + 1 << v + 1
+        seen |= 1 << v
+    return tuple(rows)
+
+
+def rows_of_pairs(pairs, n):
+    """Pairs (i, j) as rows over 0..n, bit j of row i; a pair outside
+    1 <= i < j <= n is refused.
+
+    >>> rows_of_pairs({(1, 4), (2, 3), (2, 4), (3, 4)}, 5)
+    (0, 16, 24, 16, 0, 0)
+    """
+    rows = [0] * (n + 1)
+    for i, j in pairs:
+        if not 1 <= i < j <= n:
+            raise ValidationError(f"pair {(i, j)} outside 1 <= i < j <= {n}", witness=(i, j))
+        rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def pairs_of_rows(rows):
+    """The pairs (i, j) of the rows, in increasing order.
+
+    >>> pairs_of_rows((0, 16, 24, 16, 0, 0))
+    [(1, 4), (2, 3), (2, 4), (3, 4)]
+    """
+    out = []
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            out.append((i, low.bit_length() - 1))
+            row ^= low
+    return out
+
+
+def close_rows(rows):
+    """Close a list of rows in place under (i, j), (j, k) -> (i, k): for k
+    from n down to 1, every row holding k takes row k, already closed above k.
+
+    >>> rows = [0, 4, 8, 0]
+    >>> close_rows(rows); rows
+    [0, 12, 8, 0]
+    """
+    for k in range(len(rows) - 1, 0, -1):
+        bit, row = 1 << k, rows[k]
+        for i in range(1, k):
+            if rows[i] & bit:
+                rows[i] |= row
+
+
+def perm_of_rows(rows):
+    """The permutation with these rows, or None.  From n down to 1, value i
+    goes in after popcount(row i) of the larger values, as a Lehmer code is
+    decoded; the result is checked by recomputing its rows.
+
+    >>> perm_of_rows((0, 16, 24, 16, 0, 0)), perm_of_rows((0, 8, 0, 0))
+    ((4, 1, 3, 2, 5), None)
+    """
+    seq = []
+    for i in range(len(rows) - 1, 0, -1):
+        seq.insert(rows[i].bit_count(), i)
+    pi = tuple(seq)
+    return pi if rows_of_perm(pi) == tuple(rows) else None
+
+
 def inversions(pi):
     """Inversion set {(i, j) : i < j, i appears after j}.
 
     >>> sorted(inversions((4, 1, 3, 2, 5)))
     [(1, 4), (2, 3), (2, 4), (3, 4)]
     """
-    pos = inverse(pi)
-    n = len(pi)
-    return frozenset(
-        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if pos[i - 1] > pos[j - 1]
-    )
+    return frozenset(pairs_of_rows(rows_of_perm(check_perm(pi))))
 
 
 def versions(pi):
-    """Complement of the inversion set inside {(i,j) : i < j}."""
-    pos = inverse(pi)
-    n = len(pi)
-    return frozenset(
-        (i, j) for i in range(1, n) for j in range(i + 1, n + 1) if pos[i - 1] < pos[j - 1]
-    )
+    """Complement of the inversion set inside {(i,j) : i < j}: the inversions of pi reversed."""
+    return frozenset(pairs_of_rows(rows_of_perm(check_perm(pi)[::-1])))
 
 
 def lehmer_code(pi):
-    """a_i = number of j > i appearing before i; length n-1.
+    """a_i = number of j > i appearing before i, the bits of row i; length n-1.
 
     >>> lehmer_code((4, 1, 3, 2, 5))
     (1, 2, 1, 0)
     """
-    pos = inverse(pi)
-    n = len(pi)
-    return tuple(
-        sum(1 for j in range(i + 1, n + 1) if pos[i - 1] > pos[j - 1]) for i in range(1, n)
-    )
+    return tuple(row.bit_count() for row in rows_of_perm(check_perm(pi))[1:-1])
 
 
 def lehmer_decode(code):
@@ -91,68 +158,45 @@ def lehmer_decode(code):
 
 def transitive_closure_pairs(pairs, n):
     """Closure of a set of pairs (i, j), i < j, under (i,j),(j,k) -> (i,k)."""
-    rows = [0] * (n + 1)  # bit j of rows[i]: the pair (i, j)
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    for k in range(n, 0, -1):
-        bit, row = 1 << k, rows[k]
-        for i in range(1, n + 1):
-            if rows[i] & bit:
-                rows[i] |= row
-    out = []
-    for i, r in enumerate(rows[1:], 1):
-        while r:
-            out.append((i, (r & -r).bit_length() - 1))
-            r &= r - 1
-    return frozenset(out)
+    rows = list(rows_of_pairs(pairs, n))
+    close_rows(rows)
+    return frozenset(pairs_of_rows(rows))
 
 
 def transitivity_witness(pairs, n):
     """Return a triple (i,j,k) violating transitivity, or None."""
-    s = set(pairs)
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            if (i, j) not in s:
-                continue
-            for k in range(j + 1, n + 1):
-                if (j, k) in s and (i, k) not in s:
-                    return (i, j, k)
+    rows = rows_of_pairs(pairs, n)
+    for i, j in pairs_of_rows(rows):
+        missing = rows[j] & ~rows[i]  # the k with (j, k) but not (i, k)
+        if missing:
+            return (i, j, (missing & -missing).bit_length() - 1)
     return None
 
 
 def cotransitivity_witness(pairs, n):
     """Return (i,l,j) with (i,j) present but neither (i,l) nor (l,j), or None."""
-    s = set(pairs)
-    for i in range(1, n):
-        for j in range(i + 2, n + 1):
-            if (i, j) not in s:
-                continue
-            for l in range(i + 1, j):
-                if (i, l) not in s and (l, j) not in s:
-                    return (i, l, j)
+    rows = rows_of_pairs(pairs, n)
+    for i, j in pairs_of_rows(rows):
+        for l in range(i + 1, j):
+            if not (rows[i] >> l & 1 or rows[l] >> j & 1):
+                return (i, l, j)
     return None
 
 
 def perm_from_inversions(pairs, n) -> Perm:
     """The unique permutation whose inversion set is `pairs`.
 
-    It is built first; the witness scans run only to say why a set fails.
+    It is built from the rows; the witness scans run only to say why a set fails.
     """
-    s = frozenset(pairs)
-    # value i precedes value j (i < j) exactly when (i, j) is not an inversion
-    seq = []
-    for i in range(n, 0, -1):
-        k = 0
-        while k < len(seq) and (i, seq[k]) in s:  # i must come after seq[k]
-            k += 1
-        seq.insert(k, i)
-    pi = tuple(seq)
-    if inversions(pi) == s:
+    rows = rows_of_pairs(pairs, n)
+    pi = perm_of_rows(rows)
+    if pi is not None:
         return pi
-    w = transitivity_witness(s, n)
+    pairs = pairs_of_rows(rows)
+    w = transitivity_witness(pairs, n)
     if w is not None:
         raise ValidationError("inversion set not transitive", witness=w)
-    w = cotransitivity_witness(s, n)
+    w = cotransitivity_witness(pairs, n)
     if w is not None:
         raise ValidationError("inversion set not cotransitive", witness=w)
     raise ValidationError("pair set is not realizable as an inversion set")
@@ -160,32 +204,33 @@ def perm_from_inversions(pairs, n) -> Perm:
 
 def weak_leq(pi, sigma) -> bool:
     """pi <= sigma in the weak order, i.e. inv(pi) is contained in inv(sigma)."""
+    pi, sigma = check_perm(pi), check_perm(sigma)
     if len(pi) != len(sigma):
         raise ValidationError("sizes differ")
-    return inversions(pi) <= inversions(sigma)
+    return all(x | y == y for x, y in zip(rows_of_perm(pi), rows_of_perm(sigma)))
 
 
 def lattice_meet_join(pi, sigma):
     """Meet and join in the weak order.
 
-    The candidates come from the transitive closures of the version/inversion
-    unions; both are checked to be bounds of the right kind before returning.
-    The statement of the closure formula in the literature is ambiguous about
-    which operation gets which closure, so the order-theoretic verification is
-    part of the contract (the full Hasse-diagram comparison lives in tests).
+    The join's inversions close the union of the inversions.  The versions
+    of a permutation are the inversions of its reverse, so the meet is the
+    reverse of the join of the reverses.  A closure holds what it closes, so
+    both are bounds; `perm_of_rows` checks that each closure is an inversion
+    set (the full Hasse-diagram comparison lives in tests).
     """
-    n = len(pi)
-    if len(sigma) != n:
+    pi, sigma = check_perm(pi), check_perm(sigma)
+    if len(sigma) != len(pi):
         raise ValidationError("sizes differ")
-    all_pairs = frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-    join_inv = transitive_closure_pairs(inversions(pi) | inversions(sigma), n)
-    meet_inv = all_pairs - transitive_closure_pairs(versions(pi) | versions(sigma), n)
-    meet = perm_from_inversions(meet_inv, n)
-    join = perm_from_inversions(join_inv, n)
-    for bound in (pi, sigma):
-        if not (weak_leq(meet, bound) and weak_leq(bound, join)):
-            raise AssertionError(f"closure candidates do not bound {bound}")
-    return meet, join
+    out = []
+    for a, b in ((pi, sigma), (pi[::-1], sigma[::-1])):
+        rows = [x | y for x, y in zip(rows_of_perm(a), rows_of_perm(b))]
+        close_rows(rows)
+        out.append(perm_of_rows(rows))
+    join, reversed_meet = out
+    if join is None or reversed_meet is None:
+        raise AssertionError("a closure of inversions is not an inversion set")
+    return reversed_meet[::-1], join
 
 
 def right_mult(pi, i) -> Perm:

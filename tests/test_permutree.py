@@ -26,11 +26,14 @@ def test_decoration_refinement():
 
 
 def test_insert_chain_for_none():
-    pi = (2, 4, 1, 3)
-    tree = pt.insert(pi, "nnnn")
-    assert pt.linear_extensions(tree) == [pi]
-    # chain order pi_1 < ... < pi_n: inversion pairs record later-smaller
-    assert tree.inversion_pairs() == wo.inversions(pi)
+    for n in range(7):
+        for pi in wo.all_perms(n):
+            tree = pt.insert(pi, "n" * n)
+            assert pt.linear_extensions(tree) == [pi]
+            # chain order pi_1 < ... < pi_n: inversion pairs record
+            # later-smaller, in the row layout of weak_order
+            assert tree.inversion_pairs() == wo.inversions(pi)
+            assert tree.inversion_rows() == wo.rows_of_perm(pi)
 
 
 def test_insert_figure_example():

@@ -54,15 +54,16 @@ def test_inversion_sets_transitive_cotransitive(n):
         ({(1, 3)}, 3, "inversion set not cotransitive", (1, 2, 3)),
         ({(1, 4)}, 4, "inversion set not cotransitive", (1, 2, 4)),
         ({(2, 4), (1, 3)}, 4, "inversion set not cotransitive", (1, 2, 3)),
-        ({(2, 1)}, 2, "pair set is not realizable as an inversion set", None),
-        ({(1, 5)}, 3, "pair set is not realizable as an inversion set", None),
-        ({(1, 2), (3, 2)}, 3, "pair set is not realizable as an inversion set", None),
+        ({(2, 1)}, 2, "pair (2, 1) outside 1 <= i < j <= 2", (2, 1)),
+        ({(1, 5)}, 3, "pair (1, 5) outside 1 <= i < j <= 3", (1, 5)),
+        ({(1, 2), (3, 2)}, 3, "pair (3, 2) outside 1 <= i < j <= 3", (3, 2)),
     ],
 )
 def test_perm_from_inversions_errors(pairs, n, message, witness):
-    with pytest.raises(ValidationError) as info:
-        wo.perm_from_inversions(pairs, n)
-    assert (str(info.value), info.value.witness) == (message, witness)
+    for given in (pairs, iter(sorted(pairs))):  # a one-shot iterator names the same fault
+        with pytest.raises(ValidationError) as info:
+            wo.perm_from_inversions(given, n)
+        assert (str(info.value), info.value.witness) == (message, witness)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -104,6 +105,34 @@ def test_transitive_closure_matches_fixpoint(case):
     assert wo.transitive_closure_pairs(pairs, n) == closure
 
 
+@pytest.mark.parametrize("pairs, n", [({(4, 5)}, 3), ({(1, 5)}, 3)])
+def test_transitive_closure_refuses_pairs_out_of_range(pairs, n):
+    with pytest.raises(ValidationError) as info:
+        wo.transitive_closure_pairs(pairs, n)
+    (pair,) = pairs
+    assert (str(info.value), info.value.witness) == (
+        f"pair {pair} outside 1 <= i < j <= {n}",
+        pair,
+    )
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_row_kernels_match_the_pair_definitions(n):
+    universe = frozenset(combinations(range(1, n + 1), 2))
+    for pi in wo.all_perms(n):
+        pos = wo.inverse(pi)
+        inv = frozenset((i, j) for i, j in universe if pos[i - 1] > pos[j - 1])
+        assert wo.inversions(pi) == inv
+        assert wo.versions(pi) == universe - inv
+        assert wo.lehmer_code(pi) == tuple(
+            sum(1 for j in range(i + 1, n + 1) if (i, j) in inv) for i in range(1, n)
+        )
+        rows = wo.rows_of_perm(pi)
+        assert rows == wo.rows_of_pairs(inv, n)
+        assert wo.pairs_of_rows(rows) == sorted(inv)
+        assert wo.perm_of_rows(rows) == pi
+
+
 def test_weak_leq_examples():
     e = (1, 2, 3)
     for pi in wo.all_perms(3):
@@ -113,6 +142,25 @@ def test_weak_leq_examples():
     assert not wo.weak_leq((1, 3, 2), (2, 1, 3))
     # comparable: {(1,2)} inside {(1,2),(1,3)}
     assert wo.weak_leq((2, 1, 3), (2, 3, 1))
+    for pi in wo.all_perms(4):
+        for sigma in wo.all_perms(4):
+            assert wo.weak_leq(pi, sigma) == (wo.inversions(pi) <= wo.inversions(sigma))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (wo.lattice_meet_join, ((1, 1, 3), (1, 2, 3))),
+        (wo.lattice_meet_join, ((0, 1, 2), (1, 2, 0))),
+        (wo.weak_leq, ((1, 1), (2, 1))),
+        (wo.inversions, ((1, 1),)),
+        (wo.versions, ((0, 1),)),
+        (wo.lehmer_code, ((5, 1),)),
+    ],
+)
+def test_weak_order_refuses_non_permutations(call, args):
+    with pytest.raises(ValidationError, match="not a permutation"):
+        call(*args)
 
 
 def test_cover_relations():
