@@ -3,13 +3,15 @@
 Elements are arbitrary hashable values.  Order, meets and joins are computed
 from cover reachability alone, so a `Hasse` instance serves as the brute-force
 oracle against which the constructive lattice operations are checked.
-Down-sets are bitmasks along a linear extension, built on the first order
-query: a meet is one AND and one highest-bit test, and a join scans them.
+Down-sets and up-sets are bitmasks along one linear extension, each built on
+the first query that reads it: a meet (join) is one AND and one highest-bit
+(lowest-bit) test, and the lattice test meets only pairs of lower covers.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 from .errors import ValidationError
 
@@ -40,13 +42,12 @@ class Hasse:
     @cached_property
     def down(self):
         """Bit p of down[i] is set iff `_order[p]` is i or lies below it."""
-        down = [0] * len(self._order)
-        for p, i in enumerate(self._order):
-            acc = 1 << p
-            for j in self._dn[i]:
-                acc |= down[j]
-            down[i] = acc
-        return down
+        return _masks(self._order, self._dn, range(len(self._order)))
+
+    @cached_property
+    def up(self):
+        """Bit p of up[i] is set iff `_order[p]` is i or lies above it."""
+        return _masks(self._order, self._up, reversed(range(len(self._order))))
 
     def __len__(self):
         return len(self.elements)
@@ -76,25 +77,24 @@ class Hasse:
         return self.elements[k] if down[k] == common else None
 
     def join(self, x, y):
-        """Least upper bound, or None: the upper bound placed first in the
-        order (the smallest down-set holding x and y), if every other holds it."""
-        down = self.down
-        both = down[self.index[x]] | down[self.index[y]]
-        ups = [d for d in down if d | both == d]
-        least = min(ups, default=None)
-        if least is None or any(d | least != d for d in ups):
-            return None
-        return self.elements[self._order[least.bit_length() - 1]]
+        """Least upper bound, or None if it does not exist."""
+        # The lowest bit of `common` is a minimal member, and the join exists
+        # iff that member's up-set is all of `common` (never when it is 0).
+        up = self.up
+        common = up[self.index[x]] & up[self.index[y]]
+        k = self._order[(common & -common).bit_length() - 1]
+        return self.elements[k] if up[k] == common else None
 
     def is_lattice(self):
-        """Every pair has a meet and a join: for a finite non-empty poset,
-        there is a top and every pair has a meet."""
-        if self.elements and self.maximum() is None:
+        """A non-empty finite poset is a lattice iff it has a top and a bottom
+        and any two lower covers of one element have a meet (dual of Bjoerner,
+        Edelman and Ziegler, Discrete Comput. Geom. 5 (1990), Lemma 2.1)."""
+        if self.elements and (self.maximum() is None or self.minimum() is None):
             return False
         down, at = self.down, self._order
-        for i, dx in enumerate(down):
-            for dy in down[i + 1 :]:
-                common = dx & dy
+        for lower in self._dn:
+            for a, b in combinations(lower, 2):
+                common = down[a] & down[b]
                 if down[at[common.bit_length() - 1]] != common:
                     return False
         return True
@@ -107,8 +107,21 @@ class Hasse:
 
     def to_json(self, key=str):
         nodes = [key(x) for x in self.elements]
-        edges = sorted([key(self.elements[a]), key(self.elements[b])] for a, b in self.covers)
+        edges = sorted([nodes[a], nodes[b]] for a, b in self.covers)
         return {"nodes": sorted(nodes), "edges": edges}
+
+
+def _masks(order, steps, positions):
+    """Bit p of masks[i] is set iff `order[p]` is i or is reached from i by
+    `steps`; `positions` visits each element after every element it steps to."""
+    masks = [0] * len(order)
+    for p in positions:
+        i = order[p]
+        acc = 1 << p
+        for j in steps[i]:
+            acc |= masks[j]
+        masks[i] = acc
+    return masks
 
 
 def hasse_by_bfs(bottom, up_covers, key=None) -> Hasse:

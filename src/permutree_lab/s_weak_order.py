@@ -149,18 +149,23 @@ def check_word(w, s) -> Word:
     w = tuple(w)
     n = len(s)
     counts = [0] * n
+    # 121-avoidance: once a letter's block is left it never returns.  Bit v
+    # of `closed` is set once a letter above v follows a v.
+    seen = closed = 0
+    bad = None
     for v in w:
         if not 1 <= v <= n:
             raise ValidationError(f"letter {v} outside [1, {n}]")
         counts[v - 1] += 1
+        bit = 1 << v
+        if closed & bit and bad is None:
+            bad = v
+        closed |= seen & (bit - 1)
+        seen |= bit
     if tuple(counts) != s:
         raise ValidationError(f"letter multiplicities {tuple(counts)} != s = {s}")
-    # 121-avoidance: once a letter's block is left it never returns
-    last = {}
-    for k, v in enumerate(w):
-        if v in last and max(w[last[v] : k]) > v:
-            raise ValidationError(f"word contains the pattern 121 at letter {v}")
-        last[v] = k
+    if bad is not None:
+        raise ValidationError(f"word contains the pattern 121 at letter {bad}")
     return w
 
 

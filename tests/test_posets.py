@@ -53,6 +53,20 @@ def natural_posets(n):
             yield rel | {(i, i) for i in range(n)}
 
 
+def all_pairs_is_lattice(H):
+    """The all-pairs lattice test: a top, and a meet for every pair.  The
+    oracle for the test by lower-cover meets."""
+    if H.elements and H.maximum() is None:
+        return False
+    down, at = H.down, H._order
+    for i, dx in enumerate(down):
+        for dy in down[i + 1 :]:
+            common = dx & dy
+            if down[at[common.bit_length() - 1]] != common:
+                return False
+    return True
+
+
 def check_against_brute_force(n, le, elements):
     H = Hasse(elements, covers(n, le))
     for x in range(n):
@@ -69,7 +83,7 @@ def check_against_brute_force(n, le, elements):
         for x in range(n)
         for y in range(n)
     )
-    assert H.is_lattice() == lattice
+    assert H.is_lattice() == lattice == all_pairs_is_lattice(H)
     return lattice
 
 
@@ -109,11 +123,63 @@ def test_random_posets_up_to_eight_elements(case):
         ("bowtie", [(0, 2), (0, 3), (1, 2), (1, 3)]),
         ("all meets, no top", [(0, 1), (0, 2)]),
         ("two bottoms", [(0, 2), (1, 2)]),
+        ("bounded bowtie", [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]),
     ],
 )
 def test_named_non_lattices(name, cover_list):
     n = 1 + max(b for _, b in cover_list)
     assert not check_against_brute_force(n, closure(n, cover_list), list(reversed(range(n)))), name
+
+
+def test_empty_and_one_element_posets_are_lattices():
+    for n in (0, 1):
+        assert check_against_brute_force(n, {(i, i) for i in range(n)}, list(range(n)))
+
+
+def test_a_missing_bound_fails_before_any_meet():
+    # "two bottoms" and "all meets, no top" are refused before any mask is
+    # built; the second has no two lower covers of one element at all
+    for cover_list in ([(0, 2), (1, 2)], [(0, 1), (0, 2)]):
+        H = Hasse(range(3), cover_list)
+        assert not H.is_lattice()
+        assert "down" not in vars(H)
+
+
+def induced_subposet(H, elements):
+    """The subposet of `H` on `elements`, as a `Hasse` listing them as given."""
+    below = {(x, y) for x in elements for y in elements if x != y and H.leq(x, y)}
+    return Hasse(
+        elements,
+        [
+            (x, y)
+            for x, y in below
+            if not any((x, z) in below and (z, y) in below for z in elements)
+        ],
+    )
+
+
+def test_lower_cover_meets_on_induced_s_weak_subposets():
+    # intervals are lattices; a random part of an order, bounds kept, often is not
+    rng = random.Random(7)
+    kinds = [0, 0]
+    for s in verify._strict_compositions(5):
+        H = sw.s_hasse(s)
+        bounds = [H.minimum(), H.maximum()]
+        for keep in (0.4, 0.6, 0.8) * 4:
+            x, y = rng.choice(H.elements), rng.choice(H.elements)
+            if H.leq(y, x):
+                x, y = y, x
+            elif not H.leq(x, y):
+                x = bounds[0]
+            interval = [z for z in H.elements if H.leq(x, z) and H.leq(z, y)]
+            part = [z for z in H.elements if z in bounds or rng.random() < keep]
+            for elements in (interval, part):
+                rng.shuffle(elements)
+                sub = induced_subposet(H, elements)
+                got = sub.is_lattice()
+                assert got == all_pairs_is_lattice(sub), (s, elements)
+                kinds[got] += 1
+    assert min(kinds) > 0, kinds
 
 
 def test_cyclic_covers_raise():
@@ -133,6 +199,10 @@ def test_masks_are_built_on_the_first_order_query():
     assert "down" not in vars(H)
     assert H.leq(bottom, top) and not H.leq(top, bottom)
     assert len(vars(H)["down"]) == 5040
+    assert H.meet(bottom, top) == bottom and H.is_lattice()
+    assert "up" not in vars(H)
+    assert H.join(bottom, top) == top
+    assert len(vars(H)["up"]) == 5040
 
 
 def hasse_by_bfs_oracle(bottom, up_covers, key=None):

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +52,61 @@ def test_word_validation():
         sw.check_word((1, 2, 1), (2, 1))  # pattern 121
     with pytest.raises(ValidationError):
         sw.word_to_tree((1, 1), (0, 2))  # strict needed on the word side
+
+
+def _check_word_two_pass(w, s):
+    """The two-pass `check_word`: counts first, then a slice maximum since
+    each letter's last occurrence.  The oracle for the one-pass check."""
+    s = sw.check_composition(s, strict=True)
+    w = tuple(w)
+    n = len(s)
+    counts = [0] * n
+    for v in w:
+        if not 1 <= v <= n:
+            raise ValidationError(f"letter {v} outside [1, {n}]")
+        counts[v - 1] += 1
+    if tuple(counts) != s:
+        raise ValidationError(f"letter multiplicities {tuple(counts)} != s = {s}")
+    last = {}
+    for k, v in enumerate(w):
+        if v in last and max(w[last[v] : k]) > v:
+            raise ValidationError(f"word contains the pattern 121 at letter {v}")
+        last[v] = k
+    return w
+
+
+def _verdict(check, w, s):
+    try:
+        return check(w, s)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_check_word_matches_the_two_pass_oracle():
+    kinds = Counter()
+    for s in verify._strict_compositions(5):
+        n = len(s)
+        arrangements = set(permutations(sw.sorted_word(s)))
+        words = set(arrangements)
+        for w in arrangements:
+            half = len(w) // 2
+            words |= {w[:half] + (x,) + w[half:] for x in (0, 1, n, n + 1)}  # range or count
+            words |= {w[1:], w + (w[0],)}  # wrong count, a 121 kept or made
+        accepted = set()
+        for w in sorted(words):
+            got = _verdict(sw.check_word, w, s)
+            assert got == _verdict(_check_word_two_pass, w, s), (s, w)
+            if got == w:
+                accepted.add(w)
+            elif "outside" in got:
+                kinds["range"] += 1
+            elif "121" in got:
+                kinds["121"] += 1
+            else:
+                has_121 = any(v in w[:k] and max(w[w.index(v) : k]) > v for k, v in enumerate(w))
+                kinds["count and 121" if has_121 else "count"] += 1
+        assert accepted == set(sw.all_words(s)), s
+    assert set(kinds) == {"range", "121", "count", "count and 121"}, kinds
 
 
 def test_inversion_multiset_running_example():
