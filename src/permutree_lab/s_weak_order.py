@@ -4,12 +4,13 @@ An s-decreasing tree has node i carrying s_i + 1 ordered children with labels
 decreasing toward the leaves; reading node labels in in-order gives the
 121-avoiding rearrangement of 1^{s_1} ... n^{s_n} (the Stirling s-permutation)
 when s is strict.  The order compares inversion multisets |(c, a)| in [0, s_c]
-counting occurrences of c before the a-block.
+counting occurrences of c before the a-block, as tuples over `multiset_pairs`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import chain, combinations, islice, product
 
 from .caps import require_cap
 from .errors import ValidationError
@@ -192,10 +193,29 @@ def blocks(w):
     return {v: (first[v], last[v]) for v in first}
 
 
+@lru_cache(maxsize=16)
+def _layout(n):
+    """`multiset_pairs(n)`, each pair's index, and the index steps of `tc_closure`."""
+    pairs = tuple((c, a) for a in range(1, n) for c in range(a + 1, n + 1))
+    ix = {p: k for k, p in enumerate(pairs)}
+    steps = tuple(
+        (ix[b, a], tuple((ix[c, a], ix[c, b]) for c in range(b + 1, n + 1)))
+        for a in range(n - 2, 0, -1)
+        for b in range(a + 1, n)
+    )
+    return pairs, ix, steps
+
+
+def multiset_pairs(n):
+    """The pairs (c, a), a < c <= n, an inversion multiset counts: a ascending, then c."""
+    return _layout(n)[0]
+
+
 def inversion_multiset(w, s):
     """|(c, a)| = number of occurrences of c before the a-block, for a < c.
 
-    >>> inversion_multiset((3,3,7,2,5,4,5,5,7,1,6), (1,1,2,1,3,1,2))[(7, 2)]
+    >>> m = inversion_multiset((3,3,7,2,5,4,5,5,7,1,6), (1,1,2,1,3,1,2))
+    >>> m[multiset_pairs(7).index((7, 2))]
     1
     """
     return _inversions(check_word(w, s), len(s))
@@ -203,39 +223,37 @@ def inversion_multiset(w, s):
 
 def _inversions(w, n):
     """`inversion_multiset` of a checked word in one pass: at the first a,
-    copy the running count of every c > a."""
-    counts = [0] * (n + 1)
-    out = {}
+    copy the running counts of the letters c > a."""
+    counts, columns = [0] * (n + 1), [()] * (n + 1)
     for a in w:
         if not counts[a]:
-            for c in range(a + 1, n + 1):
-                out[(c, a)] = counts[c]
+            columns[a] = counts[a + 1 :]
         counts[a] += 1
-    return out
+    return tuple(chain.from_iterable(columns))
 
 
 def transitivity_ok(m, s):
     """The first a < b < c with |(b, a)| > 0 and |(c, a)| < |(c, b)|, or None."""
+    ix = _layout(len(s))[1]
     for a, b, c in combinations(range(1, len(s) + 1), 3):
-        if m[(b, a)] != 0 and m[(c, a)] < m[(c, b)]:
+        if m[ix[b, a]] != 0 and m[ix[c, a]] < m[ix[c, b]]:
             return (a, b, c)
     return None
 
 
 def planarity_ok(m, s):
     """The first a < b < c with |(b, a)| < s_b and |(c, b)| < |(c, a)|, or None."""
+    ix = _layout(len(s))[1]
     for a, b, c in combinations(range(1, len(s) + 1), 3):
-        if m[(b, a)] != s[b - 1] and m[(c, b)] < m[(c, a)]:
+        if m[ix[b, a]] != s[b - 1] and m[ix[c, b]] < m[ix[c, a]]:
             return (a, b, c)
     return None
 
 
 def validate_multiset(m, s):
-    n = len(s)
-    for a in range(1, n):
-        for c in range(a + 1, n + 1):
-            if not 0 <= m[(c, a)] <= s[c - 1]:
-                raise ValidationError(f"|({c},{a})| = {m[(c, a)]} outside [0, s_{c}]")
+    for (c, a), k in zip(multiset_pairs(len(s)), m):
+        if not 0 <= k <= s[c - 1]:
+            raise ValidationError(f"|({c},{a})| = {k} outside [0, s_{c}]")
     w = transitivity_ok(m, s)
     if w is not None:
         raise ValidationError("multiset transitivity fails", witness=w)
@@ -293,15 +311,15 @@ def bumps_to_tree(bumps, s):
 
 def word_from_multiset(m, s) -> Word:
     """Decode an inversion multiset, refusing one no word has."""
-    return _decode(m, check_composition(s, strict=True))
+    return _decode(tuple(m), check_composition(s, strict=True))
 
 
 def _decode(m, s):
     """Decode by the column sums, which are the bump counts, and check the
     round trip; only a refusal runs `validate_multiset`, to name the fault."""
-    n = len(s)
+    n, entries = len(s), iter(m)  # column a is the next n - a entries
     try:
-        w = bumps_to_word({a: sum(m[(c, a)] for c in range(a + 1, n + 1)) for a in range(1, n)}, s)
+        w = bumps_to_word({a: sum(islice(entries, n - a)) for a in range(1, n)}, s)
         if _inversions(w, n) == m:
             return w
     except ValidationError:  # a column sum out of range, so some entry is too
@@ -312,8 +330,7 @@ def _decode(m, s):
 
 def s_leq(w1, w2, s) -> bool:
     """Coordinatewise comparison of inversion multisets."""
-    m1, m2 = inversion_multiset(w1, s), inversion_multiset(w2, s)
-    return all(m1[k] <= m2[k] for k in m1)
+    return all(x <= y for x, y in zip(inversion_multiset(w1, s), inversion_multiset(w2, s)))
 
 
 def ascents(w):
@@ -365,15 +382,13 @@ def a_dependent(w, A, pair, spans) -> bool:
 def tc_closure(m, s):
     """Transitive closure: |(c, a)| >= |(c, b)| whenever |(b, a)| > 0, in one
     pass, a from n-2 down to 1 and b upward, so every entry read is final."""
-    n = len(s)
-    m = dict(m)
-    for a in range(n - 2, 0, -1):
-        for b in range(a + 1, n):
-            if m[(b, a)]:
-                for c in range(b + 1, n + 1):
-                    if m[(c, a)] < m[(c, b)]:
-                        m[(c, a)] = m[(c, b)]
-    return m
+    m = list(m)
+    for ba, steps in _layout(len(s))[2]:
+        if m[ba]:
+            for ca, cb in steps:
+                if m[ca] < m[cb]:
+                    m[ca] = m[cb]
+    return tuple(m)
 
 
 def add_ascents(w, A, s) -> Word:
@@ -387,21 +402,20 @@ def add_ascents(w, A, s) -> Word:
     asc = set(ascents(w))
     if not A <= asc:
         raise ValidationError(f"A contains non-ascents: {sorted(A - asc)}")
-    m = _inversions(w, len(s))
-    out = dict(m)
-    spans = blocks(w)
-    for (c, a), k in m.items():
-        if k < s[c - 1] and a_dependent(w, A, (a, c), spans):
-            out[(c, a)] = k + 1
+    spans, ends = blocks(w), {c for _, c in A}  # a chain to c ends on an ascent of A
+    out = tuple(
+        k + 1 if k < s[c - 1] and c in ends and a_dependent(w, A, (a, c), spans) else k
+        for (c, a), k in zip(multiset_pairs(len(s)), _inversions(w, len(s)))
+    )
     return _decode(out, s)
 
 
 def add_ascents_fixpoint(w, A, s) -> Word:
     """Oracle for `add_ascents`: increment A, then close under transitivity."""
     w = check_word(w, s)
-    m = _inversions(w, len(s))
+    m, ix = list(_inversions(w, len(s))), _layout(len(s))[1]
     for a, c in A:
-        m[(c, a)] += 1
+        m[ix[c, a]] += 1
     return _decode(tc_closure(m, s), s)
 
 
@@ -421,7 +435,7 @@ def join_candidate(w1, w2, s):
 
 def join_multisets(m1, m2, s):
     """tc of the pointwise max of two inversion multisets."""
-    return tc_closure({k: v if v >= m2[k] else m2[k] for k, v in m1.items()}, s)
+    return tc_closure(map(max, m1, m2), s)
 
 
 class SFace:

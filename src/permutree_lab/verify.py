@@ -295,7 +295,7 @@ def criterion_7(level):
         Hd = og.hasse_from_adjacency(s)
         _require(isomorphic_via(H, Hd, {w: w for w in H.elements}), "DKK dual %s", s)
         faces = []
-        if sum(s) <= 6:
+        if sum(s) <= 7:
             for w in words:
                 asc = sw.ascents(w)
                 faces += [(w, A) for r in range(len(asc) + 1) for A in combinations(asc, r)]
@@ -319,7 +319,7 @@ def criterion_7(level):
         f"{len(comps)}; joins of all {tally['sibling_joins']} sibling pairs, "
         f"{tally['add_ascents_joins']} of them (|s| <= 6) also equal to add_ascents"
         f"; add_ascents equal to add_ascents_fixpoint on all {tally['faces']} faces (w, A) "
-        f"with |s| <= {min(total_cap, 6)} and on {tally['sampled_faces']} random ones, "
+        f"with |s| <= {min(total_cap, 7)} and on {tally['sampled_faces']} random ones, "
         f"60 per s, above"
     )
 
@@ -329,20 +329,18 @@ def _s_lattice_ok(H, s, tally):
 
     The candidate join is the closure of the pointwise max.  Every upper
     bound of x and y has a closed multiset at least that closure, so the
-    element whose multiset equals it, looked up by its values over the pairs
-    (c, a) in one order, is the least upper bound outright.  Up to |s| = 6
-    the join of the covers z + a and z + b must also be z + {a, b}
-    (`add_ascents`).  `is_lattice`, which meets pairs of lower covers on the
-    down-set masks, also runs on every order.  `tally` counts the pairs of
-    each derivation.
+    element whose multiset equals it is the least upper bound outright.  The
+    lookup is keyed by the multiset tuples themselves, with no pair order of
+    its own: the layout is `s_weak_order`'s.  Up to |s| = 6 the join of the
+    covers z + a and z + b must also be z + {a, b} (`add_ascents`).
+    `is_lattice`, which meets pairs of lower covers on the down-set masks,
+    also runs on every order.  `tally` counts the pairs of each derivation.
     """
-    order = [(c, a) for a in range(1, len(s)) for c in range(a + 1, len(s) + 1)]
     multis = {w: sw.inversion_multiset(w, s) for w in H.elements}
-    element = {tuple(map(m.__getitem__, order)): w for w, m in multis.items()}
+    element = {m: w for w, m in multis.items()}
 
     def join(x, y):
-        m = sw.join_multisets(multis[x], multis[y], s)
-        return element.get(tuple(map(m.__getitem__, order)))
+        return element.get(sw.join_multisets(multis[x], multis[y], s))
 
     for z in H.elements:
         pairs = list(combinations(H.up_covers(z), 2))

@@ -40,6 +40,7 @@ def longest(n) -> Perm:
 
 
 def inverse(pi) -> Perm:
+    """pi^{-1}; a loop kernel that does not check pi, so its callers check it first."""
     inv = [0] * len(pi)
     for pos, v in enumerate(pi, start=1):
         inv[v - 1] = pos
@@ -234,7 +235,7 @@ def lattice_meet_join(pi, sigma):
 
 
 def right_mult(pi, i) -> Perm:
-    """pi o s_i: swap positions i and i+1 (1-based)."""
+    """pi o s_i: swap positions i and i+1 (1-based); callers check pi and i first."""
     lst = list(pi)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
     return tuple(lst)
@@ -249,7 +250,7 @@ def left_mult(pi, i) -> Perm:
 
 
 def left_descents(pi):
-    """Generators s_l with l, l+1 reversed; the letters that can start a reduced word."""
+    """Generators s_l with l, l+1 reversed (a reduced word's first letters); callers check pi."""
     pos = inverse(pi)
     return [l for l in range(1, len(pi)) if pos[l - 1] > pos[l]]
 
@@ -258,6 +259,8 @@ def evaluate_word(word, n) -> Perm:
     """Product s_{a_1} ... s_{a_k} acting on the identity (left action)."""
     pi = identity(n)
     for a in reversed(word):
+        if not 1 <= a < n:
+            raise ValidationError(f"letter {a} outside [1, {n - 1}]")
         pi = left_mult(pi, a)
     return pi
 
@@ -289,7 +292,7 @@ def reduced_words(pi, cap=None):
 def avoids_fixed_pattern(pi, j, kind) -> bool:
     """Avoidance of the fixed-j pattern jki (kind='jki') or kij (kind='kij').
 
-    jki: no subsequence j, k, i with i < j < k; here j is the literal value.
+    jki: no subsequence j, k, i with i < j < k; here j is the literal value.  Callers check pi.
     """
     n = len(pi)
     if not 2 <= j <= n - 1:

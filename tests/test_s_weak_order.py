@@ -109,16 +109,35 @@ def test_check_word_matches_the_two_pass_oracle():
     assert set(kinds) == {"range", "121", "count", "count and 121"}, kinds
 
 
+def _by_pair(m, n):
+    """A multiset tuple read as a dict keyed by (c, a), with every entry there."""
+    pairs = sw.multiset_pairs(n)
+    assert len(m) == len(pairs)
+    return dict(zip(pairs, m))
+
+
+def _encode(by_pair, n):
+    """A dict keyed by (c, a) written as a multiset tuple."""
+    return tuple(by_pair[p] for p in sw.multiset_pairs(n))
+
+
+def test_multiset_pairs_order():
+    assert sw.multiset_pairs(3) == ((2, 1), (3, 1), (3, 2))
+    for n in range(9):
+        pairs = [(c, a) for c in range(1, n + 1) for a in range(1, c)]
+        assert sw.multiset_pairs(n) == tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
+
+
 def test_inversion_multiset_running_example():
-    m = sw.inversion_multiset(RUN_W, RUN_S)
+    m = _by_pair(sw.inversion_multiset(RUN_W, RUN_S), 7)
     assert m[(7, 2)] == 1
     assert m[(3, 1)] == 2
     assert m[(3, 2)] == 2
     sorted_w = sw.sorted_word(RUN_S)
-    m0 = sw.inversion_multiset(sorted_w, RUN_S)
+    m0 = _by_pair(sw.inversion_multiset(sorted_w, RUN_S), 7)
     assert all(v == 0 for v in m0.values())
     rev = sw.reverse_sorted_word(RUN_S)
-    mtop = sw.inversion_multiset(rev, RUN_S)
+    mtop = _by_pair(sw.inversion_multiset(rev, RUN_S), 7)
     assert all(mtop[(c, a)] == RUN_S[c - 1] for (c, a) in mtop)
 
 
@@ -132,7 +151,58 @@ def test_inversion_multiset_is_the_prefix_count():
                 for a in range(1, n)
                 for c in range(a + 1, n + 1)
             }
-            assert sw.inversion_multiset(w, s) == want
+            assert _by_pair(sw.inversion_multiset(w, s), n) == want
+
+
+def _inversions_by_pair(w, n):
+    """The dict kernel: at the first a, copy the running count of every
+    c > a, keyed by (c, a).  The oracle for the tuple layout."""
+    counts = [0] * (n + 1)
+    out = {}
+    for a in w:
+        if not counts[a]:
+            for c in range(a + 1, n + 1):
+                out[(c, a)] = counts[c]
+        counts[a] += 1
+    return out
+
+
+def _tc_closure_by_pair(m, s):
+    """The dict closure in one pass, a from n-2 down to 1 and b upward."""
+    n = len(s)
+    m = dict(m)
+    for a in range(n - 2, 0, -1):
+        for b in range(a + 1, n):
+            if m[(b, a)]:
+                for c in range(b + 1, n + 1):
+                    if m[(c, a)] < m[(c, b)]:
+                        m[(c, a)] = m[(c, b)]
+    return m
+
+
+def _join_by_pair(m1, m2, s):
+    """The dict join: the closure of the pointwise max."""
+    return _tc_closure_by_pair({k: v if v >= m2[k] else m2[k] for k, v in m1.items()}, s)
+
+
+def test_tuples_match_the_dict_kernels():
+    # every word and every sibling join with |s| <= 7, entry by entry
+    words = joins = 0
+    for s in verify._strict_compositions(7):
+        n = len(s)
+        H = sw.s_hasse(s)
+        multis = {w: sw.inversion_multiset(w, s) for w in H.elements}
+        by_pair = {w: _inversions_by_pair(w, n) for w in H.elements}
+        for w, m in multis.items():
+            assert _by_pair(m, n) == by_pair[w], (s, w)
+            assert sw.tc_closure(m, s) == m, (s, w)
+        for z in H.elements:
+            for x, y in combinations(H.up_covers(z), 2):
+                got = sw.join_multisets(multis[x], multis[y], s)
+                assert _by_pair(got, n) == _join_by_pair(by_pair[x], by_pair[y], s), (s, x, y)
+                joins += 1
+        words += len(H)
+    assert (words, joins) == (23116, 54622)
 
 
 def _fixpoint_closure(m, s):
@@ -170,8 +240,8 @@ def _in_range_multisets(draw):
 @given(_in_range_multisets())
 def test_tc_closure_matches_the_fixpoint(case):
     s, m = case
-    closed = sw.tc_closure(m, s)
-    assert closed == _fixpoint_closure(m, s)
+    closed = sw.tc_closure(_encode(m, len(s)), s)
+    assert _by_pair(closed, len(s)) == _fixpoint_closure(m, s)
     assert sw.transitivity_ok(closed, s) is None
 
 
@@ -207,16 +277,17 @@ def test_multiset_transitivity_planarity():
             assert sw.transitivity_ok(m, s) is None
             assert sw.planarity_ok(m, s) is None
             assert sw.word_from_multiset(m, s) == w
+            assert sw.word_from_multiset(list(m), s) == w
 
 
 def test_invalid_multiset_rejected():
     s = (1, 1, 1)
-    m = {(2, 1): 1, (3, 1): 0, (3, 2): 1}  # transitivity violated
+    m = _encode({(2, 1): 1, (3, 1): 0, (3, 2): 1}, 3)  # transitivity violated
     with pytest.raises(ValidationError, match="transitivity") as err:
         sw.word_from_multiset(m, s)
     assert err.value.witness == (1, 2, 3)
     with pytest.raises(ValidationError, match=r"outside \[0, s_3\]"):
-        sw.word_from_multiset({(2, 1): 0, (3, 1): 2, (3, 2): 0}, s)
+        sw.word_from_multiset(_encode({(2, 1): 0, (3, 1): 2, (3, 2): 0}, 3), s)
 
 
 def test_s_leq():
@@ -247,7 +318,8 @@ def test_add_ascents_worked_example():
     A = {(2, 5), (5, 7), (1, 6)}
     wA = sw.add_ascents(RUN_W, A, RUN_S)
     assert wA == (3, 3, 7, 7, 5, 2, 4, 5, 5, 6, 1)
-    m, mA = sw.inversion_multiset(RUN_W, RUN_S), sw.inversion_multiset(wA, RUN_S)
+    m = _by_pair(sw.inversion_multiset(RUN_W, RUN_S), 7)
+    mA = _by_pair(sw.inversion_multiset(wA, RUN_S), 7)
     bumped = sorted(k for k in m if mA[k] == m[k] + 1)
     assert bumped == [(5, 2), (6, 1), (7, 2), (7, 4), (7, 5)]
     assert all(mA[k] in (m[k], m[k] + 1) for k in m)
@@ -349,7 +421,7 @@ def test_ones_case_matches_weak_order():
     W = wo.weak_order_hasse(4)
     assert H.cover_pairs() == W.cover_pairs()
     for pi in wo.all_perms(4):
-        m = sw.inversion_multiset(pi, (1, 1, 1, 1))
+        m = _by_pair(sw.inversion_multiset(pi, (1, 1, 1, 1)), 4)
         assert {k for k, v in m.items() if v} == {(j, i) for i, j in wo.inversions(pi)}
 
 

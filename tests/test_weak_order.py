@@ -204,6 +204,13 @@ def test_reduced_words():
         assert len(w) == len(wo.inversions((4, 3, 2, 1)))
 
 
+@pytest.mark.parametrize("word, n", [((5,), 3), ((1, 0), 3), ((1, 3, 2), 3), ((1,), 1)])
+def test_evaluate_word_refuses_a_letter_out_of_range(word, n):
+    bad = next(a for a in word if not 1 <= a < n)
+    with pytest.raises(ValidationError, match=rf"letter {bad} outside \[1, {n - 1}\]"):
+        wo.evaluate_word(word, n)
+
+
 def test_reduced_words_cap():
     with pytest.raises(ResourceCapError):
         wo.reduced_words(tuple(range(1, 10)))
