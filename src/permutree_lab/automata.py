@@ -203,44 +203,26 @@ def _reversed_in(pi_pos, l):
 def _sort_single(pi, j, kind, priority):
     """({j}, {}) or ({}, {j}) permutree sorting (the single-automaton algorithm).
 
-    Healthy moves use any priority-first letter that is not the ill letter,
-    shifting j along the spine; then one ill move, after which the two blocks
-    untouched by the deadly letter are sorted independently.
+    One greedy loop takes the priority-first reversed letter not banned: the
+    ill letter of spine position j (moving with j) until the ill move, which
+    is taken only when no other letter is reversed; then s_cut, the letter
+    that moved j, so j stays.  `j` is a checked spine position.
     """
-    n = len(pi)
-    word, trace = [], []
+    word, trace, ill_taken = [], [], False
     while True:
+        ill, step = (j - 1, j) if kind == "U" else (j, j - 1)
         pos = inverse(pi)
-        ill_letter = j - 1 if kind == "U" else j
-        cands = [l for l in priority if l != ill_letter and _reversed_in(pos, l)]
-        if not cands:
-            break
-        l = cands[0]
+        banned = step if ill_taken else ill
+        l = next((l for l in priority if l != banned and _reversed_in(pos, l)), None)
+        if l is None:
+            if ill_taken or not _reversed_in(pos, ill):
+                return word, pi, trace
+            l, ill_taken = ill, True
         trace.append((pi, j, l))
         pi = left_mult(pi, l)
         word.append(l)
-        if kind == "U" and l == j:
-            j += 1
-        elif kind == "D" and l == j - 1:
-            j -= 1
-    pos = inverse(pi)
-    ill_letter = j - 1 if kind == "U" else j
-    if 1 <= ill_letter <= n - 1 and _reversed_in(pos, ill_letter):
-        trace.append((pi, j, ill_letter))
-        pi = left_mult(pi, ill_letter)
-        word.append(ill_letter)
-        # sort the blocks [cut] and [n] \ [cut], never touching s_cut
-        cut = j if kind == "U" else j - 1
-        while True:
-            pos = inverse(pi)
-            cands = [l for l in priority if l != cut and _reversed_in(pos, l)]
-            if not cands:
-                break
-            l = cands[0]
-            trace.append((pi, j, l))
-            pi = left_mult(pi, l)
-            word.append(l)
-    return word, pi, trace
+        if l == step:
+            j += 1 if kind == "U" else -1
 
 
 def _move_up(U, l):
@@ -304,15 +286,13 @@ def permutree_sort(pi, U, D, priority=None) -> SortOutcome:
     U, D = _check_disjoint(U, D)
     n = len(pi)
     priority = tuple(priority) if priority is not None else tuple(range(1, n))
+    aut = product(U, D, n)  # checks each spine position j first
     if len(U) + len(D) == 1:
-        if U:
-            word, res, trace = _sort_single(pi, next(iter(U)), "U", priority)
-        else:
-            word, res, trace = _sort_single(pi, next(iter(D)), "D", priority)
+        (j,) = U or D
+        word, res, trace = _sort_single(pi, j, "U" if U else "D", priority)
     else:
         word, res, trace = _sort_multiple(pi, set(U), set(D), priority)
     outcome = SortOutcome(word, res == identity(n), res, trace)
-    aut = product(U, D, n)
     if not aut.accepts(outcome.word):
         raise AssertionError(f"sorting produced a rejected word for {pi}")
     return outcome

@@ -111,7 +111,7 @@ def _graph_from_args(args):
     try:
         with open(args.graph) as fh:
             return fl.graph_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read framed graph from {args.graph}: {exc}")
 
 

@@ -94,9 +94,9 @@ class FramedGraph:
 def graph_from_json(data) -> FramedGraph:
     """Inverse of `FramedGraph.to_json`.  Refuses a top level or framing that
     is not an object, a vertex count that is not an int >= 1, a tail or head
-    that is not an int, an edge id that is not a string or is repeated, and
-    more vertices than the edges plus one: such a graph is not connected, so
-    some vertex lies on no route."""
+    that is not an int, an edge id that is not a string or is repeated, a
+    framing key that is not an int, and more vertices than the edges plus
+    one: such a graph is not connected, so some vertex lies on no route."""
 
     def malformed(what):
         return ValidationError(f"malformed framed-graph JSON: {what}")
@@ -118,11 +118,14 @@ def graph_from_json(data) -> FramedGraph:
             if e in edges:
                 raise malformed(f"edge id {e!r} is repeated")
             edges[e] = ends
+    except (KeyError, TypeError) as exc:
+        raise malformed(repr(exc)) from None
+    try:  # each spec's "in" and "out" were read above
         framing = {
             int(v): {"in": spec["in"], "out": spec["out"]} for v, spec in data["framing"].items()
         }
-    except (KeyError, TypeError) as exc:
-        raise malformed(repr(exc)) from None
+    except (TypeError, ValueError) as exc:  # a key int() refuses
+        raise malformed(f"framing key: {exc}") from None
     if data["vertices"] > len(edges) + 1:
         raise malformed(
             f"'vertices' {data['vertices']} exceeds the {len(edges)} edges plus one, "

@@ -1,4 +1,4 @@
-"""The s-oruga graph: flow/word/tree bijections, triangulation cliques, and
+"""The s-oruga graph: the d-flow/word bijection, triangulation cliques, and
 the exact tropical realization of the s-permutahedron.
 
 Vertices are coded 0..n+1 (0 is the extra source, n+1 the sink); the edge
@@ -25,6 +25,7 @@ from .s_weak_order import (
     check_word,
     count_s_trees,
     transpose_ascent,
+    word_to_bumps,
 )
 
 
@@ -89,27 +90,24 @@ def all_dip_route(s):
     return oru_route(s, len(s) + 1, 1, (1,) * len(s))
 
 
-# --- d-flows <-> Stirling s-permutations <-> s-decreasing trees -------------
+# --- d-flows <-> Stirling s-permutations -------------------------------------
 
 
 def word_to_flow(w, s):
-    """Integer d-flow of a word: the bump at level i carries the number of
-    letters exceeding i that precede the i-block.
+    """Integer d-flow of a word: the bump at level i carries b_i of
+    `word_to_bumps`, the letters exceeding i that precede the i-block.
 
     >>> f = word_to_flow((3,3,7,2,5,4,5,5,7,1,6), (1,1,2,1,3,1,2))
     >>> [f[("e", i, 0)] for i in range(1, 7)]
     [9, 3, 0, 2, 1, 2]
     """
-    w = check_word(w, s)
-    n = len(s)
-    spans = blocks(w)
+    bumps = word_to_bumps(w, s)
     flow = {e: 0 for e in build_oru(s).edges}
     tail = 0
-    for i in range(n - 1, 0, -1):
+    for i in range(len(s) - 1, 0, -1):
         tail += s[i]
-        bump = sum(1 for v in w[: spans[i][0]] if v > i)
-        flow[("e", i, 0)] = bump
-        flow[("e", i, s[i - 1])] = tail - bump
+        flow[("e", i, 0)] = bumps[i]
+        flow[("e", i, s[i - 1])] = tail - bumps[i]
     return flow
 
 
@@ -121,36 +119,6 @@ def flow_to_word(flow, s):
         raise ValidationError(f"flow violates conservation at vertex {v}")
     n = len(s)
     return bumps_to_word({i: flow[("e", i, 0)] for i in range(1, n)}, s)
-
-
-def tree_to_flow(tree, s):
-    """Bump flows of a tree: leaf index at grafting time, per node.
-
-    Walking the tree with all labels below v read as leaves, bump v is the
-    number of leaves passed before reaching node v.
-    """
-    s = check_composition(s)
-    n = len(s)
-    bumps = {}
-
-    def seek(t, v, counter):
-        _, children = t
-        for ch in children:
-            if ch is None or ch[0] < v:
-                counter[0] += 1
-            elif ch[0] == v:
-                return counter[0]
-            else:
-                got = seek(ch, v, counter)
-                if got is not None:
-                    return got
-        return None
-
-    for v in range(1, n):
-        bumps[v] = seek(tree, v, [0])
-        if bumps[v] is None:
-            raise ValidationError(f"node {v} missing from the tree")
-    return bumps
 
 
 # --- cliques of the triangulation -------------------------------------------

@@ -5,6 +5,8 @@ decreasing toward the leaves; reading node labels in in-order gives the
 121-avoiding rearrangement of 1^{s_1} ... n^{s_n} (the Stirling s-permutation)
 when s is strict.  The order compares inversion multisets |(c, a)| in [0, s_c]
 counting occurrences of c before the a-block, as tuples over `multiset_pairs`.
+Trees, words and the d-flows of `oruga` meet at the bump vector: each has one
+encoder into it and one decoder out of it.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def check_tree(tree, s):
         for ch in children:
             rec(ch, label - 1)
 
-    if tree is None or tree[0] != n:
+    if (0 if tree is None else tree[0]) != n:
         raise ValidationError(f"root must be labeled {n}")
     rec(tree, n)
     return tree
@@ -99,40 +101,13 @@ def all_s_trees(s):
 def tree_to_word(tree, s) -> Word:
     """In-order reading: s_i copies of i separate the children of node i."""
     s = check_composition(s, strict=True)
-    out = []
-
-    def rec(t):
-        if t is None:
-            return
-        label, children = t
-        for k, ch in enumerate(children):
-            if k:
-                out.append(label)
-            rec(ch)
-
-    rec(tree)
-    return tuple(out)
+    return bumps_to_word(tree_to_bumps(tree, s), s)
 
 
 def word_to_tree(w, s):
-    """Inverse of `tree_to_word` (split at the occurrences of the maximum)."""
+    """Inverse of `tree_to_word`."""
     s = check_composition(s, strict=True)
-
-    def rec(chunk):
-        if not chunk:
-            return None
-        m = max(chunk)
-        idx = [k for k, v in enumerate(chunk) if v == m]
-        parts = []
-        prev = 0
-        for k in idx:
-            parts.append(chunk[prev:k])
-            prev = k + 1
-        parts.append(chunk[prev:])
-        return (m, tuple(rec(p) for p in parts))
-
-    tree = rec(tuple(w))
-    return check_tree(tree, s)
+    return bumps_to_tree(word_to_bumps(w, s), s)
 
 
 def tree_to_brackets(tree) -> str:
@@ -232,9 +207,17 @@ def _inversions(w, n):
     return tuple(chain.from_iterable(columns))
 
 
+def _index(m, s):
+    """Each pair's index in a multiset over `s`, once `m` has one entry per pair."""
+    pairs, ix, _ = _layout(len(s))
+    if len(m) != len(pairs):
+        raise ValidationError(f"multiset has length {len(m)}, not {len(pairs)}")
+    return ix
+
+
 def transitivity_ok(m, s):
     """The first a < b < c with |(b, a)| > 0 and |(c, a)| < |(c, b)|, or None."""
-    ix = _layout(len(s))[1]
+    ix = _index(m, s)
     for a, b, c in combinations(range(1, len(s) + 1), 3):
         if m[ix[b, a]] != 0 and m[ix[c, a]] < m[ix[c, b]]:
             return (a, b, c)
@@ -243,7 +226,7 @@ def transitivity_ok(m, s):
 
 def planarity_ok(m, s):
     """The first a < b < c with |(b, a)| < s_b and |(c, b)| < |(c, a)|, or None."""
-    ix = _layout(len(s))[1]
+    ix = _index(m, s)
     for a, b, c in combinations(range(1, len(s) + 1), 3):
         if m[ix[b, a]] != s[b - 1] and m[ix[c, b]] < m[ix[c, a]]:
             return (a, b, c)
@@ -251,6 +234,7 @@ def planarity_ok(m, s):
 
 
 def validate_multiset(m, s):
+    _index(m, s)
     for (c, a), k in zip(multiset_pairs(len(s)), m):
         if not 0 <= k <= s[c - 1]:
             raise ValidationError(f"|({c},{a})| = {k} outside [0, s_{c}]")
@@ -274,6 +258,23 @@ def bumps_to_word(bumps, s) -> Word:
             raise ValidationError(f"bump flow {k} at level {v} out of range")
         word[k:k] = [v] * s[v - 1]
     return tuple(word)
+
+
+def word_to_bumps(w, s):
+    """Inverse of `bumps_to_word`: at the first v, b_v counts the letters
+    above v read so far.
+
+    >>> b = word_to_bumps((3,3,7,2,5,4,5,5,7,1,6), (1,1,2,1,3,1,2))
+    >>> [b[v] for v in range(1, 7)]
+    [9, 3, 0, 2, 1, 2]
+    """
+    w, n = check_word(w, s), len(s)
+    counts, bumps = [0] * (n + 1), {}
+    for v in w:
+        if not counts[v]:
+            bumps[v] = sum(counts[v + 1 :])
+        counts[v] += 1
+    return {v: bumps[v] for v in range(1, n)}
 
 
 def _graft(tree, k, new):
@@ -307,6 +308,24 @@ def bumps_to_tree(bumps, s):
             raise ValidationError(f"graft position {k} out of range at node {v}")
         tree, _ = _graft(tree, k, (v, (None,) * (s[v - 1] + 1)))
     return tree
+
+
+def tree_to_bumps(tree, s):
+    """Inverse of `bumps_to_tree`, in one pre-order walk.  Node v was grafted
+    on the leaf after the b_v items before it that hang from a node >= v:
+    the leaves, and the nodes below v whose parent is not below v."""
+    n = len(s)
+    passed, bumps = [0] * (n + 1), {}
+    stack = [(check_tree(tree, s), n)]  # (subtree, label of its parent)
+    while stack:
+        t, parent = stack.pop()
+        label = 0 if t is None else t[0]
+        for v in range(label + 1, parent + 1):
+            passed[v] += 1
+        if t is not None:
+            bumps[label] = passed[label]
+            stack.extend((ch, label) for ch in reversed(t[1]))
+    return {v: bumps[v] for v in range(1, n)}
 
 
 def word_from_multiset(m, s) -> Word:

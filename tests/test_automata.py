@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,12 @@ import pytest
 from permutree_lab import automata as am
 from permutree_lab import weak_order as wo
 from permutree_lab.errors import ValidationError
+
+# sha256 over repr((word, sorted, residual, trace)) of `permutree_sort` for
+# U = {j} and for D = {j}, each j in [2, n-1], on every pi with 3 <= n <= 6
+# in `all_perms` order; a change to the single-automaton sorter's word,
+# residual or trace on any of these 6,588 inputs must re-record it
+SINGLE_SORT_SHA256 = "53cf9203d24659db268cb91c8a31f43ab76b148583bd7708b397772c7302612e"
 
 
 def test_single_automaton_examples():
@@ -121,6 +128,19 @@ def test_resorting_residual_terminates():
         pi = out.residual
     assert pi not in seen[:-1]
     assert am.permutree_sort(pi, {2}, set()).sorted or pi == seen[-1]
+
+
+def test_single_automaton_sorts_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(3, 7):
+        for j in range(2, n):
+            for U, D in (({j}, set()), (set(), {j})):
+                for pi in wo.all_perms(n):
+                    out = am.permutree_sort(pi, U, D)
+                    digest.update(repr((out.word, out.sorted, out.residual, out.trace)).encode())
+                    count += 1
+    assert count == 6588
+    assert digest.hexdigest() == SINGLE_SORT_SHA256
 
 
 def test_priority_is_configurable():

@@ -260,6 +260,7 @@ MALFORMED_GRAPHS = {  # variants of perfbench/data/graph_nxdn.json, and an empty
     "top level a list": lambda d: [d],
     "edge id repeated": lambda d: {**d, "edges": d["edges"] + d["edges"][:1]},
     "vertices beyond the edges": lambda d: {"vertices": 3000000, "edges": [], "framing": {}},
+    "framing key not an int": lambda d: {**d, "framing": {"x1": d["framing"]["1"]}},
 }
 
 
@@ -273,6 +274,17 @@ def test_malformed_graph_file_is_refused(case, capsys, tmp_path):
         assert (code, out) == (1, ""), verb
         assert len(err.splitlines()) == 1, verb
         assert err.startswith("invalid input: malformed framed-graph JSON: "), verb
+
+
+@pytest.mark.parametrize("content", [None, b'{"vertices": "\xe9"}'], ids=["missing", "not UTF-8"])
+def test_unreadable_graph_file_is_refused(content, capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "flows", "routes", "--graph", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"invalid input: cannot read framed graph from {path}: ")
 
 
 def test_bicho_verbs_pass_their_cap_to_the_kostant_dp(capsys):

@@ -69,7 +69,7 @@ def test_tree_flow_roundtrip_weak(s):
     trees = sw.all_s_trees(s)
     seen = set()
     for t in trees:
-        bumps = og.tree_to_flow(t, s)
+        bumps = sw.tree_to_bumps(t, s)
         assert sw.bumps_to_tree(bumps, s) == t
         seen.add(tuple(sorted(bumps.items())))
     assert len(seen) == len(trees) == sw.count_s_trees(s)
@@ -97,7 +97,8 @@ def test_word_flow_tree_roundtrips(case):
     assert og.flow_to_word(og.word_to_flow(w, s), s) == w
     assert sw.tree_to_word(sw.word_to_tree(w, s), s) == w
     assert sw.word_to_tree(w, s) == sw.bumps_to_tree(b, s)
-    assert og.tree_to_flow(sw.word_to_tree(w, s), s) == b
+    assert sw.tree_to_bumps(sw.word_to_tree(w, s), s) == b
+    assert sw.word_to_bumps(w, s) == b
     assert sw.word_from_multiset(sw.inversion_multiset(w, s), s) == w
 
 

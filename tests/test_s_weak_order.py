@@ -52,6 +52,89 @@ def test_word_validation():
         sw.check_word((1, 2, 1), (2, 1))  # pattern 121
     with pytest.raises(ValidationError):
         sw.word_to_tree((1, 1), (0, 2))  # strict needed on the word side
+    with pytest.raises(ValidationError, match=r"letter multiplicities \(1, 1, 0\) != s"):
+        sw.word_to_tree((2, 1), (1, 1, 1))
+    for read in (sw.tree_to_word, sw.tree_to_bumps):
+        with pytest.raises(ValidationError, match="tree labels are not exactly"):
+            read((3, (None,)), (1, 1, 1))
+
+
+def _in_order(tree):
+    """The in-order reading by recursion: s_i copies of i separate the
+    children of node i.  The oracle for `tree_to_word`."""
+    out = []
+
+    def rec(t):
+        if t is None:
+            return
+        label, children = t
+        for k, ch in enumerate(children):
+            if k:
+                out.append(label)
+            rec(ch)
+
+    rec(tree)
+    return tuple(out)
+
+
+def _max_split(w):
+    """The tree of a word by recursion: split at the occurrences of the
+    maximum.  The oracle for `word_to_tree`."""
+
+    def rec(chunk):
+        if not chunk:
+            return None
+        m = max(chunk)
+        idx = [k for k, v in enumerate(chunk) if v == m]
+        parts = []
+        prev = 0
+        for k in idx:
+            parts.append(chunk[prev:k])
+            prev = k + 1
+        parts.append(chunk[prev:])
+        return (m, tuple(rec(p) for p in parts))
+
+    return rec(tuple(w))
+
+
+def _seek_bumps(tree, n):
+    """Bump v by a walk per node: the leaves passed before node v when every
+    node below v is read as a leaf.  The oracle for `tree_to_bumps`."""
+
+    def seek(t, v, counter):
+        for ch in t[1]:
+            if ch is None or ch[0] < v:
+                counter[0] += 1
+            elif ch[0] == v:
+                return counter[0]
+            else:
+                got = seek(ch, v, counter)
+                if got is not None:
+                    return got
+        return None
+
+    return {v: seek(tree, v, [0]) for v in range(1, n)}
+
+
+def test_bump_hub_matches_the_tree_recursions():
+    words = 0
+    for s in verify._strict_compositions(7):
+        for w in sw.all_words(s):
+            tree = _max_split(w)
+            assert sw.word_to_tree(w, s) == tree, (s, w)
+            assert sw.tree_to_word(tree, s) == _in_order(tree) == w, (s, w)
+            bumps = sw.word_to_bumps(w, s)
+            assert sw.tree_to_bumps(tree, s) == _seek_bumps(tree, len(s)) == bumps, (s, w)
+            assert sw.bumps_to_word(bumps, s) == w, (s, w)
+            words += 1
+    assert words == 23116
+    trees = 0  # every tree, also over weak compositions, where no word exists
+    for s in [(1, 2, 1), (0, 1, 2), (2, 0, 1), (1, 0, 0, 1), (0, 2, 0, 2), (2, 2, 2, 2)]:
+        for b in sw.bump_vectors(s):
+            tree = sw.bumps_to_tree(b, s)
+            assert sw.tree_to_bumps(tree, s) == _seek_bumps(tree, len(s)) == b, (s, b)
+            trees += 1
+    assert trees == 182
 
 
 def _check_word_two_pass(w, s):
@@ -288,6 +371,15 @@ def test_invalid_multiset_rejected():
     assert err.value.witness == (1, 2, 3)
     with pytest.raises(ValidationError, match=r"outside \[0, s_3\]"):
         sw.word_from_multiset(_encode({(2, 1): 0, (3, 1): 2, (3, 2): 0}, 3), s)
+    for check, m, length in [
+        (sw.word_from_multiset, (1,), 1),
+        (sw.word_from_multiset, (0, 0, 5, 0), 4),
+        (sw.validate_multiset, (0, 0, 0, 0), 4),
+        (sw.transitivity_ok, (1,), 1),
+        (sw.planarity_ok, (1,), 1),
+    ]:
+        with pytest.raises(ValidationError, match=f"multiset has length {length}, not 3"):
+            check(m, s)
 
 
 def test_s_leq():
