@@ -157,6 +157,20 @@ def _check_disjoint(U, D):
     return U, D
 
 
+def _check_priority(priority, n):
+    """`priority`, or 1..n-1 when None; refuses a letter out of range, repeated or missing."""
+    if priority is None:
+        return tuple(range(1, n))
+    priority = tuple(priority)
+    for k, l in enumerate(priority):
+        if l not in range(1, n) or l in priority[:k]:
+            why = "is repeated" if l in range(1, n) else f"is not in 1..{n - 1}"
+            raise ValidationError(f"priority letter {l!r} {why}")
+    if len(priority) < n - 1:  # the letters are distinct and in range
+        raise ValidationError(f"priority misses the letter {min(set(range(1, n)) - set(priority))}")
+    return priority
+
+
 def avoids_all(pi, U, D) -> bool:
     return all(avoids_fixed_pattern(pi, j, "jki") for j in U) and all(
         avoids_fixed_pattern(pi, j, "kij") for j in D
@@ -285,7 +299,7 @@ def permutree_sort(pi, U, D, priority=None) -> SortOutcome:
     pi = check_perm(pi)
     U, D = _check_disjoint(U, D)
     n = len(pi)
-    priority = tuple(priority) if priority is not None else tuple(range(1, n))
+    priority = _check_priority(priority, n)
     aut = product(U, D, n)  # checks each spine position j first
     if len(U) + len(D) == 1:
         (j,) = U or D
@@ -338,7 +352,7 @@ def generating_tree(n, U, D, priority=None, cap=None):
     """
     require_cap("generating_tree_n", n, cap)
     U, D = _check_disjoint(U, D)
-    priority = tuple(priority) if priority is not None else tuple(range(1, n))
+    priority = _check_priority(priority, n)
     aut = product(U, D, n)
     words = set()
     for pi in minimal_permutations(n, U, D):

@@ -48,6 +48,8 @@ class FramedGraph:
                 self._in_pos[e] = k
             for k, e in enumerate(outs):
                 self._out_pos[e] = k
+        self._pos = {e: (b, self.in_pos(e), self.out_pos(e)) for e, (_, b) in self.edges.items()}
+        self._frames = {}  # route -> its `_frame`; `_pos` gives an edge's head and positions
         self.framing = {
             v: {"in": list(framing.get(v, {}).get("in", [])),
                 "out": list(framing.get(v, {}).get("out", []))}
@@ -157,11 +159,6 @@ def count_routes(graph) -> int:
     return ways[0]
 
 
-def route_vertices(graph, route):
-    edges = graph.edges
-    return [edges[route[0]][0]] + [edges[e][1] for e in route]
-
-
 def _blocks(p, q, vp, vq):
     """Maximal shared subroutes of routes p and q, with vertex sequences vp
     and vq, as index tuples (si, sj, i, j): the block runs from vp[si] ==
@@ -185,15 +182,25 @@ def _blocks(p, q, vp, vq):
     return out
 
 
-def _conflicts(graph, p, q, vp, vq):
+def _frame(graph, route):
+    """A route's vertices, in- and out-positions for `_conflicts`, read once per graph."""
+    frame = graph._frames.get(route)
+    if frame is None:
+        heads, ins, outs = zip(*map(graph._pos.__getitem__, route))
+        frame = graph._frames[route] = ((graph.edges[route[0]][0], *heads), ins, outs)
+    return frame
+
+
+def _conflicts(p, q, fp, fq):
     """The blocks of `_blocks` with entry and exit edges whose entry order
     disagrees with their exit order, as (si, sj, i, j, din, dout): din and
-    dout are the frame-position differences of the entries and the exits."""
+    dout are the differences of their positions in the `_frame`s fp and fq."""
+    (vp, inp, outp), (vq, inq, outq) = fp, fq
     out = []
     for si, sj, i, j in _blocks(p, q, vp, vq):
         if si and sj and i < len(p) and j < len(q):
-            din = graph.in_pos(p[si - 1]) - graph.in_pos(q[sj - 1])
-            dout = graph.out_pos(p[i]) - graph.out_pos(q[j])
+            din = inp[si - 1] - inq[sj - 1]
+            dout = outp[i] - outq[j]
             if din * dout < 0:
                 out.append((si, sj, i, j, din, dout))
     return out
@@ -201,10 +208,10 @@ def _conflicts(graph, p, q, vp, vq):
 
 def conflicts(graph, p, q):
     """Shared subroutes where the entry order disagrees with the exit order."""
-    vp, vq = route_vertices(graph, p), route_vertices(graph, q)
+    fp = _frame(graph, p)
     return [
-        {"start": vp[si], "end": vp[i], "entry": (p[si - 1], q[sj - 1]), "exit": (p[i], q[j])}
-        for si, sj, i, j, _, _ in _conflicts(graph, p, q, vp, vq)
+        {"start": fp[0][si], "end": fp[0][i], "entry": (p[si - 1], q[sj - 1]), "exit": (p[i], q[j])}
+        for si, sj, i, j, _, _ in _conflicts(p, q, fp, _frame(graph, q))
     ]
 
 
@@ -219,7 +226,7 @@ def resolvents(graph, p, q):
     Swaps the tails at the start of each conflict; the edge multiset is
     conserved and both outputs are coherent with each other and with p, q.
     """
-    confl = _conflicts(graph, p, q, route_vertices(graph, p), route_vertices(graph, q))
+    confl = _conflicts(p, q, _frame(graph, p), _frame(graph, q))
     if not confl:
         raise ValidationError("routes are not conflicting")
     halves, a, b = ([], []), 0, 0
@@ -242,10 +249,10 @@ def minimal_conflicts(graph, all_routes=None):
     """Route pairs (p, q), p listed before q, with one conflict only, whose
     entry edges and exit edges are frame-adjacent."""
     rs = routes(graph) if all_routes is None else list(all_routes)
-    verts = [route_vertices(graph, r) for r in rs]
+    frames = [_frame(graph, r) for r in rs]
     out = []
     for x, y in combinations(range(len(rs)), 2):
-        confl = _conflicts(graph, rs[x], rs[y], verts[x], verts[y])
+        confl = _conflicts(rs[x], rs[y], frames[x], frames[y])
         if len(confl) == 1 and abs(confl[0][4]) == abs(confl[0][5]) == 1:
             out.append((rs[x], rs[y]))
     return out
@@ -555,7 +562,7 @@ def _dual_covers(graph, rs, masks):
     are ordered by their differing routes: the lower one owns the route that
     enters the (unique, minimal) conflict earlier and leaves it later.  Each
     unordered route pair is oriented once."""
-    verts = [route_vertices(graph, r) for r in rs]
+    frames = [_frame(graph, r) for r in rs]
     owner, lower, covers = {}, {}, []
     for x, m in enumerate(masks):
         rest = m
@@ -572,7 +579,7 @@ def _dual_covers(graph, rs, masks):
             key = (min(i, j), max(i, j))
             if key not in lower:
                 p, q = key
-                block = _conflicts(graph, rs[p], rs[q], verts[p], verts[q])
+                block = _conflicts(rs[p], rs[q], frames[p], frames[q])
                 if len(block) != 1:
                     raise AssertionError("adjacent cliques must differ by a single conflict")
                 lower[key] = p if block[0][4] < 0 < block[0][5] else q

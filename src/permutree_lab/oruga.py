@@ -24,7 +24,6 @@ from .s_weak_order import (
     check_composition,
     check_word,
     count_s_trees,
-    transpose_ascent,
     word_to_bumps,
 )
 
@@ -151,6 +150,25 @@ def prefix_routes(w, s):
     return routes
 
 
+def prefix_keys(w, s):
+    """The key (c, t, mask of the levels a < c taking the dip) of each route
+    of `prefix_routes(w, s)`, in one walk over the letter counts of `w`.
+
+    >>> prefix_keys((3, 3, 7, 2, 5, 4, 5, 5, 7, 1, 6), (1, 1, 2, 1, 3, 1, 2))[:5]
+    [(8, 1, 0), (3, 1, 0), (8, 1, 4), (7, 1, 4), (7, 1, 6)]
+    """
+    n, counts = len(s), [0] * len(s)
+    partial = full = 0  # bit v-1: the v-block is started but not done / is done
+    keys = [(n + 1, 1, 0)]
+    for v in w:
+        counts[v - 1] += 1
+        full |= (counts[v - 1] == s[v - 1]) << (v - 1)
+        partial = (partial | 1 << (v - 1)) & ~full
+        c = (partial & -partial).bit_length() or n + 1
+        keys.append((c, counts[c - 1] if partial else 1, full & ((1 << (c - 1)) - 1)))
+    return keys
+
+
 def delta_w(w, s):
     """Maximal clique of the triangulation: one route per prefix of w.
 
@@ -263,20 +281,13 @@ class Realization:
                 return round(float(x), approx)
             return {"num": x.numerator, "den": x.denominator}
 
+        label = {w: ",".join(map(str, w)) for w in self.vertices}
         return {
             "s": list(self.s),
             "epsilon": {"num": self.eps.numerator, "den": self.eps.denominator},
-            "vertices": {
-                ",".join(map(str, w)): [num(x) for x in pt]
-                for w, pt in sorted(self.vertices.items())
-            },
+            "vertices": {label[w]: [num(x) for x in pt] for w, pt in sorted(self.vertices.items())},
             "edges": [
-                {
-                    "from": ",".join(map(str, w1)),
-                    "to": ",".join(map(str, w2)),
-                    "direction": [a, c],
-                    "scalar": num(scal),
-                }
+                {"from": label[w1], "to": label[w2], "direction": [a, c], "scalar": num(scal)}
                 for (w1, w2, (a, c), scal) in self.edges
             ],
         }
@@ -310,19 +321,23 @@ def realize(s, eps=None, cap=None) -> Realization:
     h = {r: _scaled_height(r, scales) for r in rs}  # h_eps(r) * q^n, exact
     ok, witness = fl.is_admissible(graph, h, all_routes=rs, witness=True)
     if not ok:
-        raise ValidationError(
-            f"eps={eps} is not admissible for s={s}", witness=witness
-        )
+        raise ValidationError(f"eps={eps} is not admissible for s={s}", witness=witness)
+    by_key = {}
+    for r in rs:
+        k, t, bits = route_params(r, s)
+        by_key[k, t, sum(b << a for a, b in enumerate(bits))] = h[r]
     words = all_words(s)
-    prefix_heights = {w: [h[r] for r in prefix_routes(w, s)] for w in words}
+    prefix_heights = {w: [by_key[key] for key in prefix_keys(w, s)] for w in words}
     scaled = {w: vertex_coordinates(w, s, prefix_heights[w]) for w in words}
     edges = []
     for w in words:
         spans = blocks(w)
         hw = prefix_heights[w]
         for (a, c) in ascents(w):
-            w2 = transpose_ascent(w, (a, c), s)
-            start, end = spans[a]
+            start, end = spans[a]  # c follows the a-block: w = u1 B_a c u2
+            w2 = w[:start] + (c,) + w[start : end + 1] + w[end + 2 :]
+            if w2 not in prefix_heights:
+                raise AssertionError(f"cover {w} + {(a, c)} gives {w2}, not a word")
             lam = prefix_heights[w2][start + 1] + hw[end + 1] - hw[start] - hw[end + 2]
             if lam <= 0:
                 raise AssertionError(f"edge scalar not positive at {w} + {(a, c)}")

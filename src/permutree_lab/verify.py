@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -407,21 +406,16 @@ def criterion_9(level):
         cs = R.coordinate_sum()
         _require(all(sum(ptn) == cs for ptn in R.vertices.values()), "hyperplane %s", s)
         # support zonotope: all e_a - e_c edges have exact length 2 s_c eps^(c-a)
+        want = {}
+        for a, c in combinations(range(1, n + 1), 2):
+            lam = 2 * s[c - 1] * eps ** (c - a)
+            want[a, c] = tuple(lam if i == a else (-lam if i == c else 0) for i in range(1, n + 1))
         for sigma in permutations(range(1, n + 1)):
-            for k in range(n - 1):
-                a, c = sigma[k], sigma[k + 1]
-                if a > c:
-                    continue
-                sigma2 = list(sigma)
-                sigma2[k], sigma2[k + 1] = sigma2[k + 1], sigma2[k]
-                v1 = R.vertices[R.support[sigma]]
-                v2 = R.vertices[R.support[tuple(sigma2)]]
-                lam = 2 * s[c - 1] * eps ** (c - a)
-                want = tuple(
-                    lam if i == a else (-lam if i == c else Fraction(0))
-                    for i in range(1, n + 1)
-                )
-                _require(tuple(x - y for x, y in zip(v2, v1)) == want, "zonotope %s", s)
+            v1 = R.vertices[R.support[sigma]]
+            for k, (a, c) in enumerate(zip(sigma, sigma[1:])):
+                if a < c:
+                    v2 = R.vertices[R.support[sigma[:k] + (c, a) + sigma[k + 2 :]]]
+                    _require(tuple(x - y for x, y in zip(v2, v1)) == want[a, c], "zonotope %s", s)
     return f"all strict |s| <= {total_cap}"
 
 

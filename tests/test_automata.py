@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -148,6 +149,27 @@ def test_priority_is_configurable():
     out_rev = am.permutree_sort((3, 4, 2, 1), set(), set(), priority=(3, 2, 1))
     assert out_default.sorted and out_rev.sorted
     assert out_default.word != out_rev.word
+
+
+@pytest.mark.parametrize(
+    "priority, message",
+    [
+        ((0,), "priority letter 0 is not in 1..2"),
+        ((5,), "priority letter 5 is not in 1..2"),
+        ((3, 2, 1), "priority letter 3 is not in 1..2"),
+        ((1,), "priority misses the letter 2"),
+        ((2, 1, 1), "priority letter 1 is repeated"),
+    ],
+)
+def test_priority_must_order_the_letters(priority, message):
+    for call in (
+        lambda: am.permutree_sort((2, 3, 1), {2}, set(), priority=priority),
+        lambda: am.permutree_sort((2, 3, 1), set(), set(), priority=priority),
+        lambda: am.generating_tree(3, {2}, set(), priority=priority),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
+    assert am.permutree_sort((2, 3, 1), set(), set(), priority=(2, 1)).sorted
 
 
 def test_generating_tree_counts():

@@ -8,6 +8,7 @@ from permutree_lab import bicho as bi
 from permutree_lab import flows as fl
 from permutree_lab import oruga as og
 from permutree_lab import permutree as pt
+from permutree_lab import s_weak_order as sw
 from permutree_lab.errors import ResourceCapError, ValidationError
 
 
@@ -49,10 +50,14 @@ def test_count_routes_matches_enumeration(G):
         assert fl.count_routes(graph) == len(fl.routes(graph))
 
 
+def route_vertices(graph, route):
+    return [graph.tail(route[0])] + [graph.head(e) for e in route]
+
+
 def reference_blocks(graph, p, q):
     """Shared blocks by definition: consecutive common vertices join one
     block when both routes leave the first by the same edge."""
-    vp, vq = fl.route_vertices(graph, p), fl.route_vertices(graph, q)
+    vp, vq = route_vertices(graph, p), route_vertices(graph, q)
     in_p, in_q = dict(zip(vp[1:], p)), dict(zip(vq[1:], q))
     out_p, out_q = dict(zip(vp, p)), dict(zip(vq, q))
     spans = []
@@ -81,7 +86,8 @@ def test_shared_blocks_match_definition(G):
         rs = fl.routes(graph)
         for p in rs:
             for q in rs:
-                vp, vq = fl.route_vertices(graph, p), fl.route_vertices(graph, q)
+                vp, vq = fl._frame(graph, p)[0], fl._frame(graph, q)[0]
+                assert list(vp) == route_vertices(graph, p)
                 got = [
                     {
                         "start": vp[si],
@@ -363,13 +369,68 @@ def test_dual_covers_match_the_oracle():
         assert H.cover_pairs() == want, d
 
 
+def lookup_conflicts(graph, p, q, vp, vq):
+    """The conflict kernel with each block's entry and exit frame positions
+    looked up in the graph, not read from the routes' frames."""
+    out = []
+    for si, sj, i, j in fl._blocks(p, q, vp, vq):
+        if si and sj and i < len(p) and j < len(q):
+            din = graph.in_pos(p[si - 1]) - graph.in_pos(q[sj - 1])
+            dout = graph.out_pos(p[i]) - graph.out_pos(q[j])
+            if din * dout < 0:
+                out.append((si, sj, i, j, din, dout))
+    return out
+
+
+def test_conflict_kernel_matches_the_lookup_oracle(monkeypatch):
+    """On every s-oruga graph with |s| <= 6 and every bicho graph with n <= 5:
+    the kernel agrees with `lookup_conflicts` on every ordered route pair,
+    and `conflicts`, `resolvents`, `minimal_conflicts` and `_dual_covers`
+    give the same with the oracle patched in for the kernel."""
+    cases = [
+        (graph, [og.delta_w(w, s) for w in sw.all_words(s)]) for s, graph in small_oruga_graphs()
+    ]
+    cases += [
+        (bi.build_bic(pt.Decoration(d)), bi.rotation_from_adjacency(d).elements)
+        for d in small_decorations()
+    ]
+    minimal = 0
+    for graph, cliques in cases:
+        rs = fl.routes(graph)
+        masks = fl._clique_masks(rs, cliques)
+        frames = [fl._frame(graph, r) for r in rs]
+        for r, (vertices, ins, outs) in zip(rs, frames):
+            assert list(vertices) == route_vertices(graph, r)
+            assert list(ins) == [graph.in_pos(e) for e in r]
+            assert list(outs) == [graph.out_pos(e) for e in r]
+        for (p, fp), (q, fq) in product(zip(rs, frames), repeat=2):
+            assert fl._conflicts(p, q, fp, fq) == lookup_conflicts(graph, p, q, fp[0], fq[0])
+        pairs = [(p, q) for p, q in product(rs, repeat=2) if p != q]
+
+        def run():
+            confl = [fl.conflicts(graph, p, q) for p, q in pairs]
+            resolved = [fl.resolvents(graph, p, q) for (p, q), c in zip(pairs, confl) if c]
+            return confl, resolved, fl.minimal_conflicts(graph), fl._dual_covers(graph, rs, masks)
+
+        got = run()
+        minimal += len(got[2])
+        with monkeypatch.context() as m:
+
+            def oracle(p, q, fp, fq):
+                return lookup_conflicts(graph, p, q, fp[0], fq[0])
+
+            m.setattr(fl, "_conflicts", oracle)
+            assert run() == got
+    assert minimal > 0
+
+
 def test_dual_orients_each_route_pair_once(monkeypatch):
     calls = []
     kernel = fl._conflicts
 
-    def counted(graph, p, q, vp, vq):
+    def counted(p, q, fp, fq):
         calls.append((p, q))
-        return kernel(graph, p, q, vp, vq)
+        return kernel(p, q, fp, fq)
 
     monkeypatch.setattr(fl, "_conflicts", counted)
     s = (1,) * 6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -16,6 +17,12 @@ from permutree_lab.posets import isomorphic_via
 
 RUN_S = (1, 1, 2, 1, 3, 1, 2)
 RUN_W = (3, 3, 7, 2, 5, 4, 5, 5, 7, 1, 6)
+
+# sha256 over json.dumps(R.to_json(approx), indent=2, sort_keys=True) for
+# approx None and 4, R = realize(s) at the default eps, for every strict
+# |s| <= 6 in `_compositions` order, then (1, 2, 1, 3) and (1, 1, 1, 4); a
+# change to any vertex, edge, scalar or their order must re-record it
+REALIZE_JSON_SHA256 = "11f615657efafd87733d4754c11a74ad1c2f9a34836a30afdbfb07709b8d695e"
 
 
 def test_build_oru_structure():
@@ -248,12 +255,15 @@ def _compositions(total):
 
 
 def test_prefix_routes_match_oru_route():
-    for total in range(1, 7):
+    for total in range(1, 8):
         for s in _compositions(total):
             n = len(s)
             for w in sw.all_words(s):
                 routes = og.prefix_routes(w, s)
                 assert len(routes) == len(w) + 1
+                keys = [og.route_params(r, s) for r in routes]
+                masks = [(k, t, sum(b << a for a, b in enumerate(bits))) for k, t, bits in keys]
+                assert og.prefix_keys(w, s) == masks, (s, w)
                 for length, route in enumerate(routes):
                     counts = [w[:length].count(v) for v in range(1, n + 1)]
                     c = next((v for v in range(1, n + 1) if 0 < counts[v - 1] < s[v - 1]), n + 1)
@@ -275,6 +285,26 @@ def test_realize_computes_each_height_once(monkeypatch):
         calls.clear()
         og.realize(s)
         assert len(calls) == len(set(calls)) == len(fl.routes(og.build_oru(s)))
+
+
+def test_realize_json_is_pinned():
+    digest = hashlib.sha256()
+    cases = [s for total in range(1, 7) for s in _compositions(total)]
+    cases += [(1, 2, 1, 3), (1, 1, 1, 4)]
+    for s in cases:
+        R = og.realize(s)
+        for approx in (None, 4):
+            digest.update(json.dumps(R.to_json(approx), indent=2, sort_keys=True).encode())
+    assert len(cases) == 65
+    assert digest.hexdigest() == REALIZE_JSON_SHA256
+
+
+def test_realize_refuses_a_cover_outside_the_words(monkeypatch):
+    words = sw.all_words((1, 2, 1))
+    monkeypatch.setattr(og, "all_words", lambda s: words[:-1])  # drop the top word
+    missed = r"cover \(2, 2, 3, 1\) \+ \(2, 3\) gives \(3, 2, 2, 1\), not a word"
+    with pytest.raises(AssertionError, match=missed):
+        og.realize((1, 2, 1))
 
 
 def fraction_height(route, eps):
