@@ -19,8 +19,7 @@ from .weak_order import (
     check_perm,
     identity,
     inverse,
-    left_descents,
-    left_mult,
+    right_mult,
 )
 
 HEALTHY, ILL, DEAD = "healthy", "ill", "dead"
@@ -71,16 +70,6 @@ class PermutreeAutomaton:
             "states": {key[s]: self.classify[s] for s in sorted(self.states, key=repr)},
             "transitions": table,
         }
-
-    def to_edge_list(self):
-        """Graphviz-style plain-text edge list (loops omitted)."""
-        lines = []
-        for s in sorted(self.states, key=repr):
-            for letter in range(1, self.n):
-                t = self.step(s, letter)
-                if t != s:
-                    lines.append(f"{s!r} -> {t!r} [s{letter}]")
-        return "\n".join(lines)
 
 
 def build_single(kind, j, n) -> PermutreeAutomaton:
@@ -210,8 +199,12 @@ class SortOutcome:
         return f"SortOutcome(word={self.word}, sorted={self.sorted}, residual={self.residual})"
 
 
-def _reversed_in(pi_pos, l):
-    return pi_pos[l - 1] > pi_pos[l]
+def _swap(pi, pos, l):
+    """s_l o pi in place on the one-line list `pi` and its position list
+    `pos` = pi^{-1}: the values l and l+1 trade places at pos[l-1] and pos[l]."""
+    a, b = pos[l - 1], pos[l]
+    pi[a - 1], pi[b - 1] = l + 1, l
+    pos[l - 1], pos[l] = b, a
 
 
 def _sort_single(pi, j, kind, priority):
@@ -222,18 +215,18 @@ def _sort_single(pi, j, kind, priority):
     is taken only when no other letter is reversed; then s_cut, the letter
     that moved j, so j stays.  `j` is a checked spine position.
     """
+    pi, pos = list(pi), list(inverse(pi))
     word, trace, ill_taken = [], [], False
     while True:
         ill, step = (j - 1, j) if kind == "U" else (j, j - 1)
-        pos = inverse(pi)
         banned = step if ill_taken else ill
-        l = next((l for l in priority if l != banned and _reversed_in(pos, l)), None)
+        l = next((l for l in priority if l != banned and pos[l - 1] > pos[l]), None)
         if l is None:
-            if ill_taken or not _reversed_in(pos, ill):
-                return word, pi, trace
+            if ill_taken or pos[ill - 1] < pos[ill]:
+                return word, tuple(pi), trace
             l, ill_taken = ill, True
-        trace.append((pi, j, l))
-        pi = left_mult(pi, l)
+        trace.append((tuple(pi), j, l))
+        _swap(pi, pos, l)
         word.append(l)
         if l == step:
             j += 1 if kind == "U" else -1
@@ -249,42 +242,40 @@ def _move_down(D, l):
 
 def _sort_multiple(pi, U, D, priority):
     """(U, D)-permutree sorting: follow P(U, D) without building it."""
-    n = len(pi)
+    pi, pos = list(pi), list(inverse(pi))
     word, trace = [], []
     while True:
-        pos = inverse(pi)
-        healthy = [
-            l for l in priority if _reversed_in(pos, l) and l + 1 not in U and l not in D
-        ]
+        healthy = [l for l in priority if pos[l - 1] > pos[l] and l + 1 not in U and l not in D]
         if healthy:
             l = healthy[0]
-            trace.append((pi, (frozenset(U), frozenset(D)), l))
-            pi = left_mult(pi, l)
+            trace.append((tuple(pi), (frozenset(U), frozenset(D)), l))
+            _swap(pi, pos, l)
             word.append(l)
             U, D = _move_up(U, l), _move_down(D, l)
             continue
         # ill moves: every factor that s_l sends to an ill state must be
-        # individually safe to forget (no reduced word of pi can revisit it)
+        # individually safe to forget (no reduced word of pi can revisit it);
+        # pi[:m] holds the values 1..m iff max(pos[:m]) == m
         ill = []
         for l in priority:
-            if not _reversed_in(pos, l):
+            if pos[l - 1] < pos[l]:
                 continue
             u_hit, d_hit = l + 1 in U, l in D
             if not (u_hit or d_hit):
                 continue
-            if u_hit and set(pi[: l + 1]) != set(range(1, l + 2)):
+            if u_hit and max(pos[: l + 1]) != l + 1:
                 continue
-            if d_hit and set(pi[: l - 1]) != set(range(1, l)):
+            if d_hit and max(pos[: l - 1], default=0) != l - 1:
                 continue
             ill.append(l)
         if ill:
             l = ill[0]
-            trace.append((pi, (frozenset(U), frozenset(D)), l))
-            pi = left_mult(pi, l)
+            trace.append((tuple(pi), (frozenset(U), frozenset(D)), l))
+            _swap(pi, pos, l)
             word.append(l)
             U, D = _move_up(U - {l + 1}, l), _move_down(D - {l}, l)
             continue
-        return word, pi, trace
+        return word, tuple(pi), trace
 
 
 def permutree_sort(pi, U, D, priority=None) -> SortOutcome:
@@ -318,28 +309,33 @@ def minimal_permutations(n, U, D):
 
 
 def lex_min_accepted_word(pi, automaton, priority):
-    """Priority-lexicographic minimal reduced word of pi accepted by the automaton."""
-    failed = set()
+    """Priority-lexicographic minimal reduced word of pi accepted by the automaton.
 
-    def rec(p, state):
-        if p == identity(len(p)):
+    The search steps the position tuple pi^{-1}, where s_l o pi swaps the
+    entries l-1 and l and l is a left descent iff pos[l-1] > pos[l].
+    Callers check pi.
+    """
+    failed = set()
+    done = identity(len(pi))
+
+    def rec(pos, state):
+        if pos == done:
             return ()
-        if (p, state) in failed:
+        if (pos, state) in failed:
             return None
-        descents = set(left_descents(p))
         for l in priority:
-            if l not in descents:
+            if pos[l - 1] < pos[l]:
                 continue
             nxt = automaton.step(state, l)
             if automaton.classify[nxt] == DEAD:
                 continue
-            tail = rec(left_mult(p, l), nxt)
+            tail = rec(right_mult(pos, l), nxt)
             if tail is not None:
                 return (l,) + tail
-        failed.add((p, state))
+        failed.add((pos, state))
         return None
 
-    return rec(pi, automaton.initial)
+    return rec(inverse(pi), automaton.initial)
 
 
 def generating_tree(n, U, D, priority=None, cap=None):
@@ -382,19 +378,24 @@ def coxeter_element_sets(c, n):
 
 
 def coxeter_sorting_word(pi, c):
-    """The c-sorting word: greedy reduced subword of c^infinity, with factors."""
-    n = len(pi)
+    """The c-sorting word: greedy reduced subword of c^infinity, with factors.
+
+    It steps the position list pi^{-1}, as `lex_min_accepted_word` does, and
+    stops after a pass over c that moves nothing, which for a Coxeter word c
+    happens only at the identity.  Callers check pi and c.
+    """
+    pos = list(inverse(pi))
     word, factors = [], []
-    rho = pi
-    while rho != identity(n):
+    while True:
         factor = set()
         for l in c:
-            if _reversed_in(inverse(rho), l):
-                rho = left_mult(rho, l)
+            if pos[l - 1] > pos[l]:
+                pos[l - 1], pos[l] = pos[l], pos[l - 1]
                 word.append(l)
                 factor.add(l)
+        if not factor:
+            return tuple(word), factors
         factors.append(frozenset(factor))
-    return tuple(word), factors
 
 
 def coxeter_sort(pi, c):

@@ -298,8 +298,8 @@ def vertex_coordinates(w, s, hs):
 
     `hs[k]` is the height (a Fraction, or an int scaled by q^n) of the route
     of the length-k prefix of `w`; the coordinates come out in the same kind.
+    Callers check `w` and `s`.
     """
-    w = check_word(w, s)
     coords = [0] * len(s)
     for k, v in enumerate(w):
         coords[v - 1] += hs[k] - hs[k + 1]

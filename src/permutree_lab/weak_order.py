@@ -145,18 +145,6 @@ def lehmer_code(pi):
     return tuple(row.bit_count() for row in rows_of_perm(check_perm(pi))[1:-1])
 
 
-def lehmer_decode(code):
-    """Inverse of `lehmer_code`; codes satisfy 0 <= a_i <= n-i."""
-    n = len(code) + 1
-    for i, a in enumerate(code, start=1):
-        if not 0 <= a <= n - i:
-            raise ValidationError(f"Lehmer entry a_{i}={a} outside [0,{n - i}]")
-    seq = [n]
-    for i in range(n - 1, 0, -1):
-        seq.insert(code[i - 1], i)
-    return tuple(seq)
-
-
 def transitive_closure_pairs(pairs, n):
     """Closure of a set of pairs (i, j), i < j, under (i,j),(j,k) -> (i,k)."""
     rows = list(rows_of_pairs(pairs, n))
@@ -235,56 +223,47 @@ def lattice_meet_join(pi, sigma):
 
 
 def right_mult(pi, i) -> Perm:
-    """pi o s_i: swap positions i and i+1 (1-based); callers check pi and i first."""
+    """pi o s_i: swap positions i and i+1 (1-based); callers check pi and i
+    first.  On a position list pi^{-1} this is the left action s_i o pi."""
     lst = list(pi)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
     return tuple(lst)
 
 
-def left_mult(pi, i) -> Perm:
-    """s_i o pi: swap the values i and i+1."""
-    lst = list(pi)
-    p, q = lst.index(i), lst.index(i + 1)
-    lst[p], lst[q] = lst[q], lst[p]
-    return tuple(lst)
-
-
-def left_descents(pi):
-    """Generators s_l with l, l+1 reversed (a reduced word's first letters); callers check pi."""
-    pos = inverse(pi)
-    return [l for l in range(1, len(pi)) if pos[l - 1] > pos[l]]
-
-
 def evaluate_word(word, n) -> Perm:
-    """Product s_{a_1} ... s_{a_k} acting on the identity (left action)."""
-    pi = identity(n)
+    """Product s_{a_1} ... s_{a_k} acting on the identity (left action); s_a
+    o pi swaps the entries a-1 and a of the position list pi^{-1}."""
+    pos = list(range(1, n + 1))
     for a in reversed(word):
         if not 1 <= a < n:
             raise ValidationError(f"letter {a} outside [1, {n - 1}]")
-        pi = left_mult(pi, a)
-    return pi
+        pos[a - 1], pos[a] = pos[a], pos[a - 1]
+    return inverse(pos)
 
 
 def reduced_words(pi, cap=None):
-    """All reduced words of pi, as tuples of generator indices.
+    """All reduced words of pi, as tuples of generator indices, found on the
+    position tuple pi^{-1}: l is a left descent iff pos[l-1] > pos[l].
 
     >>> sorted(reduced_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
     """
     pi = check_perm(pi)
     require_cap("reduced_words_n", len(pi), cap)
+    done = identity(len(pi))
 
     @lru_cache(maxsize=None)
-    def rec(p):
-        if p == identity(len(p)):
+    def rec(pos):
+        if pos == done:
             return frozenset({()})
         out = set()
-        for l in left_descents(p):
-            for w in rec(left_mult(p, l)):
-                out.add((l,) + w)
+        for l in range(1, len(pos)):
+            if pos[l - 1] > pos[l]:
+                for w in rec(right_mult(pos, l)):
+                    out.add((l,) + w)
         return frozenset(out)
 
-    result = set(rec(pi))
+    result = set(rec(inverse(pi)))
     rec.cache_clear()
     return result
 

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import re
 
 import pytest
 
 from permutree_lab import automata as am
+from permutree_lab import verify
 from permutree_lab import weak_order as wo
 from permutree_lab.errors import ValidationError
 
@@ -13,6 +15,15 @@ from permutree_lab.errors import ValidationError
 # in `all_perms` order; a change to the single-automaton sorter's word,
 # residual or trace on any of these 6,588 inputs must re-record it
 SINGLE_SORT_SHA256 = "53cf9203d24659db268cb91c8a31f43ab76b148583bd7708b397772c7302612e"
+# the same over every (U, D) in `verify._disjoint_pairs(n)` order, 61,794
+# sorts, so the multi-automaton sorter's ill moves are pinned too
+SORT_SHA256 = "12132f95bd6feb7cb612178f4897126904cf3f2e1b8a6dc8a668f51b7ef1a9f8"
+# sha256 over repr(coxeter_sorting_word(pi, c)) for 3 <= n <= 6, every c in
+# `itertools.permutations(range(1, n))` order and every pi
+COXETER_WORD_SHA256 = "373aae636c16ab3f0780d83461ede788798eea3eeb8399684ee5f19100ee34c8"
+# sha256 over repr(lex_min_accepted_word(pi, product(U, D, n), range(1, n)))
+# for 3 <= n <= 5, (U, D) and pi in the order above: 3,474 words
+LEX_MIN_SHA256 = "a967de0d76adbf069fa8ad5e658a01de0ced708196d62a726cc7b24453d895e1"
 
 
 def test_single_automaton_examples():
@@ -144,6 +155,39 @@ def test_single_automaton_sorts_are_pinned():
     assert digest.hexdigest() == SINGLE_SORT_SHA256
 
 
+def test_all_sorts_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(3, 7):
+        for U, D in verify._disjoint_pairs(n):
+            for pi in wo.all_perms(n):
+                out = am.permutree_sort(pi, U, D)
+                digest.update(repr((out.word, out.sorted, out.residual, out.trace)).encode())
+                count += 1
+    assert count == 61794
+    assert digest.hexdigest() == SORT_SHA256
+
+
+def test_coxeter_sorting_words_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(3, 7):
+        for c in itertools.permutations(range(1, n)):
+            for pi in wo.all_perms(n):
+                digest.update(repr(am.coxeter_sorting_word(pi, c)).encode())
+    assert digest.hexdigest() == COXETER_WORD_SHA256
+
+
+def test_lex_min_words_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(3, 6):
+        for U, D in verify._disjoint_pairs(n):
+            aut = am.product(U, D, n)
+            for pi in wo.all_perms(n):
+                digest.update(repr(am.lex_min_accepted_word(pi, aut, range(1, n))).encode())
+                count += 1
+    assert count == 3474
+    assert digest.hexdigest() == LEX_MIN_SHA256
+
+
 def test_priority_is_configurable():
     out_default = am.permutree_sort((3, 4, 2, 1), set(), set())
     out_rev = am.permutree_sort((3, 4, 2, 1), set(), set(), priority=(3, 2, 1))
@@ -227,5 +271,3 @@ def test_exports():
     json.dumps(data)
     assert data["initial"] == repr(("healthy", 2))
     assert set(data["states"].values()) <= {"healthy", "ill", "dead"}
-    text = aut.to_edge_list()
-    assert "->" in text and "[s1]" in text

@@ -1,6 +1,7 @@
 import ast
 import doctest
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,51 @@ def test_entry_layers_use_the_public_api():
         tree = ast.parse((PACKAGE / name).read_text(), filename=name)
         found += [f"{name}:{line}" for line in _private_uses(tree)]
     assert found == []
+
+
+# public functions and methods that only tests reach; this list may only
+# shrink: a name leaves it when a module, README or the benchmark uses it,
+# or when it is folded into another function or deleted
+UNNAMED_ALLOWED = {
+    "bicho.all_bump_route_oru",
+    "bicho.equivariance_holds",
+    "bicho.mariposa_graph",
+    "bicho.oruga_graph",
+    "bicho.split_clique",
+    "flows.flow_key",
+    "flows.is_minimal_conflict",
+    "flows.reduce_multiedges",
+    "oruga.face_simplex",
+    "permutree.refines",
+    "s_weak_order.all_s_trees",
+    "s_weak_order.face_contains",
+    "s_weak_order.parse_word",
+    "s_weak_order.reverse_sorted_word",
+    "vectors.permutree_from_inversion_set",
+}
+
+
+def test_public_names_are_used():
+    """Every public module-level function and method is named somewhere in
+    the library besides its own `def`, in README or under perfbench/,
+    unless it is on the frozen list above."""
+    source = "\n".join(p.read_text() for p in sorted(PACKAGE.glob("*.py")))
+    named = (ROOT / "README.md").read_text() + "\n".join(
+        p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))
+    )
+    unnamed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body]
+        for fn in tree.body + methods:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            word = re.compile(rf"\b{fn.name}\b")
+            if fn.name.startswith("_") or len(word.findall(source)) > 1 or word.search(named):
+                continue
+            unnamed.add(f"{path.stem}.{fn.name}")
+    assert unnamed <= UNNAMED_ALLOWED, sorted(unnamed - UNNAMED_ALLOWED)
+    assert unnamed == UNNAMED_ALLOWED, f"named now, drop: {sorted(UNNAMED_ALLOWED - unnamed)}"
 
 
 def test_doctests():

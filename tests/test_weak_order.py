@@ -28,13 +28,17 @@ def test_lehmer_examples():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_lehmer_roundtrip(n):
+    """`perm_of_rows` decodes the rows as a Lehmer code: row i holds a_i bits."""
     for pi in wo.all_perms(n):
-        assert wo.lehmer_decode(wo.lehmer_code(pi)) == pi
+        rows = wo.rows_of_perm(pi)
+        assert wo.perm_of_rows(rows) == pi
+        assert wo.lehmer_code(pi) == tuple(row.bit_count() for row in rows[1:n])
 
 
-def test_lehmer_decode_validates():
-    with pytest.raises(ValidationError):
-        wo.lehmer_decode((4, 0, 0))
+def test_perm_of_rows_refuses_rows_of_no_permutation():
+    # not cotransitive, not transitive, a bit on the diagonal, more bits than larger values
+    for rows in [(0, 8, 0, 0), (0, 4, 8, 0), (0, 2, 0, 0), (0, 14, 0, 0), (0, 16, 0, 16, 0, 0)]:
+        assert wo.perm_of_rows(rows) is None
 
 
 @pytest.mark.parametrize("n", range(2, 6))
