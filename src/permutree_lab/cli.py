@@ -137,7 +137,7 @@ def cmd_permutree(args):
         raise ValidationError(f"permutree {args.verb} needs {' and '.join(missing)}")
     if args.verb == "count":
         delta = pt.Decoration(args.delta)
-        if args.n and args.n != delta.n:
+        if args.n is not None and args.n != delta.n:
             raise ValidationError(f"--n {args.n} contradicts --delta of size {delta.n}")
         _emit({"delta": str(delta), "count": pt.count_permutrees(delta, cap=args.cap)}, args)
     elif args.verb == "lattice":

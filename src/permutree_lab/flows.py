@@ -240,11 +240,6 @@ def resolvents(graph, p, q):
     return p2, q2
 
 
-def is_minimal_conflict(graph, p, q) -> bool:
-    """One conflict only, with frame-adjacent entry and exit edges."""
-    return bool(minimal_conflicts(graph, (p, q)))
-
-
 def minimal_conflicts(graph, all_routes=None):
     """Route pairs (p, q), p listed before q, with one conflict only, whose
     entry edges and exit edges are frame-adjacent."""
@@ -599,48 +594,6 @@ def _clique_masks(rs, cliques):
     """Each clique as an int bitmask of its routes' positions in `rs`."""
     ids = {r: k for k, r in enumerate(rs)}
     return [sum(1 << ids[r] for r in cl) for cl in cliques]
-
-
-def reduce_multiedges(graph, a):
-    """Single-edge reduction of one multiedge bundle (integral equivalence
-    utility): each extra copy of (u, v) becomes a detour through a fresh
-    vertex with zero netflow.
-
-    Returns (graph, netflow) with at most the same multiedge count minus one
-    bundle; apply repeatedly to clear all bundles.
-    """
-    a = check_netflow(graph, a)
-    bundles = {}
-    for e, (u, v) in graph.edges.items():
-        bundles.setdefault((u, v), []).append(e)
-    target = next((k for k, es in bundles.items() if len(es) > 1), None)
-    if target is None:
-        return graph, a
-    u, v = target
-    es = sorted(bundles[target], key=str)
-    extra = len(es) - 1
-    # shift vertices >= u by `extra`, insert chain vertices u..u+extra-1
-    def shift(x):
-        return x + extra if x >= u else x
-
-    edges = {}
-    for e, (x, y) in graph.edges.items():
-        if e in es[1:]:
-            continue
-        edges[str(e)] = (shift(x), shift(y))
-    for k in range(extra):
-        edges[f"chain{k}"] = (u + k, u + k + 1)
-        edges[f"jump{k}"] = (u + k, shift(v))
-    n2 = graph.n + extra
-    framing = {}
-    for w in range(1, n2):
-        ins = sorted((e for e, (x, y) in edges.items() if y == w), key=str)
-        outs = sorted((e for e, (x, y) in edges.items() if x == w), key=str)
-        framing[w] = {"in": ins, "out": outs}
-    a2 = [0] * (n2 + 1)
-    for x in range(graph.n + 1):
-        a2[shift(x) if x != u else u] = a[x]
-    return FramedGraph(n2, edges, framing), tuple(a2)
 
 
 def example_graph() -> FramedGraph:

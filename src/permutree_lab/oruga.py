@@ -21,6 +21,7 @@ from .s_weak_order import (
     ascents,
     blocks,
     bumps_to_word,
+    check_ascents,
     check_composition,
     check_word,
     count_s_trees,
@@ -66,10 +67,7 @@ def oru_route(s, k, t, bits):
         raise ValidationError(f"no source edge e^{k}_{t}")
     if len(bits) != k - 1:
         raise ValidationError(f"need {k - 1} bump/dip choices for k={k}")
-    route = [("e", k, t)]
-    for a in range(k - 1, 0, -1):
-        route.append(("e", a, s[a - 1] if bits[a - 1] else 0))
-    return tuple(route)
+    return prefix_route((k, t, sum(bool(b) << a for a, b in enumerate(bits))), s)
 
 
 def route_params(route, s):
@@ -123,36 +121,30 @@ def flow_to_word(flow, s):
 # --- cliques of the triangulation -------------------------------------------
 
 
-def prefix_route(counts, s):
-    """R[u] for a prefix u of a word with letter counts `counts`.
-
-    c is the first level whose block u has started but not finished (n+1
-    when there is none).  The route enters level c by the source e^c_t, t the
-    count of c (t = 1 for c = n+1).  At each level a < c it takes the edge
-    e^a_{count of a}: the bump when u has no a (count 0), the dip when u has
-    the whole a-block (count s_a).  `s` is a checked strict composition.
+def prefix_route(key, s):
+    """The route of a key (c, t, mask): the source e^c_t, then at each level
+    a = c-1 down to 1 the dip e^a_{s_a} when bit a-1 of `mask` is set, else
+    the bump e^a_0.  Unchecked: callers pass a strict composition `s` and
+    the key of a route of `build_oru(s)`, as `prefix_keys` and `oru_route` do.
     """
-    n = len(s)
-    c = next((v for v in range(1, n + 1) if 0 < counts[v - 1] < s[v - 1]), n + 1)
-    return (("e", c, 1 if c == n + 1 else counts[c - 1]),) + tuple(
-        ("e", a, counts[a - 1]) for a in range(c - 1, 0, -1)
+    c, t, mask = key
+    return (("e", c, t),) + tuple(
+        ("e", a, s[a - 1] if mask >> a - 1 & 1 else 0) for a in range(c - 1, 0, -1)
     )
 
 
 def prefix_routes(w, s):
     """R[w_[0]], ..., R[w_[|w|]]: the route of each prefix of a checked word
     `w`, shortest first."""
-    counts = [0] * len(s)
-    routes = [prefix_route(counts, s)]
-    for v in w:
-        counts[v - 1] += 1
-        routes.append(prefix_route(counts, s))
-    return routes
+    return [prefix_route(key, s) for key in prefix_keys(w, s)]
 
 
 def prefix_keys(w, s):
-    """The key (c, t, mask of the levels a < c taking the dip) of each route
-    of `prefix_routes(w, s)`, in one walk over the letter counts of `w`.
+    """The route key (c, t, mask) of each prefix u of a checked word `w`,
+    shortest first, in one walk over its letter counts: c is the first level
+    whose block u has started but not finished (n+1 when there is none), t
+    its count in u (1 for c = n+1), and bit a-1 of the mask is set when u
+    holds the whole a-block, a < c.
 
     >>> prefix_keys((3, 3, 7, 2, 5, 4, 5, 5, 7, 1, 6), (1, 1, 2, 1, 3, 1, 2))[:5]
     [(8, 1, 0), (3, 1, 0), (8, 1, 4), (7, 1, 4), (7, 1, 6)]
@@ -186,15 +178,10 @@ def face_simplex(w, A, s):
     """Interior simplex of a face (w, A): drop the routes whose prefixes end
     exactly at an ascent of A."""
     w = check_word(w, s)
-    A = frozenset(A)
-    asc = set(ascents(w))
-    if not A <= asc:
-        raise ValidationError(f"A must be a set of ascents of {w}")
+    A = check_ascents(w, A)
     spans = blocks(w)
     cut_lengths = {spans[a][1] + 1 for (a, c) in A}
-    return frozenset(
-        r for i, r in enumerate(prefix_routes(w, s)) if i not in cut_lengths
-    )
+    return frozenset(r for i, r in enumerate(prefix_routes(w, s)) if i not in cut_lengths)
 
 
 def hasse_from_adjacency(s, cap=None) -> Hasse:

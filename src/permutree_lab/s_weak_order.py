@@ -357,6 +357,15 @@ def ascents(w):
     return sorted({(a, c) for a, c in zip(w, w[1:]) if a < c})
 
 
+def check_ascents(w, A) -> frozenset:
+    """A as a frozenset, refused unless every pair is an ascent of `w`."""
+    A = frozenset(A)
+    bad = sorted(A.difference(ascents(w)))
+    if bad:
+        raise ValidationError(f"A contains non-ascents of {w}: {bad}", witness=bad[0])
+    return A
+
+
 def transpose_ascent(w, pair, s) -> Word:
     """u1 B_a c u2 -> u1 c B_a u2: the cover relation of the s-weak order.
 
@@ -417,10 +426,7 @@ def add_ascents(w, A, s) -> Word:
     (3, 3, 7, 7, 5, 2, 4, 5, 5, 6, 1)
     """
     w = check_word(w, s)
-    A = set(A)
-    asc = set(ascents(w))
-    if not A <= asc:
-        raise ValidationError(f"A contains non-ascents: {sorted(A - asc)}")
+    A = check_ascents(w, A)
     spans, ends = blocks(w), {c for _, c in A}  # a chain to c ends on an ascent of A
     out = tuple(
         k + 1 if k < s[c - 1] and c in ends and a_dependent(w, A, (a, c), spans) else k
@@ -465,10 +471,7 @@ class SFace:
     def __init__(self, word, A, s):
         self.s = check_composition(s, strict=True)
         self.word = check_word(word, self.s)
-        self.A = frozenset(A)
-        asc = set(ascents(self.word))
-        if not self.A <= asc:
-            raise ValidationError(f"A must consist of ascents of {self.word}")
+        self.A = check_ascents(self.word, A)
 
     def upper(self) -> Word:
         return add_ascents(self.word, self.A, self.s)
@@ -493,6 +496,3 @@ def face_contains(f, g) -> bool:
 def serialize_word(w) -> str:
     return ",".join(str(v) for v in w)
 
-
-def parse_word(text) -> Word:
-    return tuple(int(v) for v in text.strip().split(","))

@@ -30,6 +30,12 @@ def test_permutree_count(capsys):
     assert "count: 14" in out
 
 
+def test_permutree_count_refuses_a_size_that_contradicts_delta(capsys):
+    code, out, err = run_cli(capsys, "permutree", "count", "--delta", "nddn", "--n", "0")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["invalid input: --n 0 contradicts --delta of size 4"]
+
+
 def test_permutree_count_json_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "permutree", "count", "--delta", "nxdn", "--json")
     code, out2, _ = run_cli(capsys, "permutree", "count", "--delta", "nxdn", "--json")

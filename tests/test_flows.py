@@ -162,7 +162,7 @@ def test_resolvents(G):
     assert fl.coherent(G, p2, q2)
     for r in (p, q):
         assert fl.coherent(G, p2, r) and fl.coherent(G, q2, r)
-    assert fl.is_minimal_conflict(G, p, q)
+    assert fl.minimal_conflicts(G, (p, q))
     with pytest.raises(ValidationError):
         fl.resolvents(G, ("a", "p", "r"), ("b", "q"))
 
@@ -275,21 +275,6 @@ def test_omega_bijection(G):
     assert images == dflows
     with pytest.raises(ValidationError):
         fl.omega(frozenset({("c", "r")}), G)
-
-
-def test_multiedge_reduction(G):
-    graph, a = G, (0, 1, 1, -2)
-    while True:
-        nxt, a2 = fl.reduce_multiedges(graph, a)
-        if nxt is graph:
-            break
-        graph, a = nxt, a2
-    bundles = {}
-    for e, (u, v) in graph.edges.items():
-        bundles.setdefault((u, v), []).append(e)
-    assert all(len(es) == 1 for es in bundles.values())
-    assert fl.kostant(graph, a) == 2
-    assert fl.kostant(graph, fl.netflow_i(graph)) == fl.kostant(G, fl.netflow_i(G))
 
 
 def test_graph_json_roundtrip(G):

@@ -272,6 +272,25 @@ def test_prefix_routes_match_oru_route():
                     assert route == og.oru_route(s, c, t, bits), (s, w, length)
 
 
+def test_prefix_route_builds_every_oru_route():
+    for total in range(1, 8):
+        for s in _compositions(total):
+            for r in fl.routes(og.build_oru(s)):
+                k, t, bits = og.route_params(r, s)
+                mask = sum(b << a for a, b in enumerate(bits))
+                assert og.prefix_route((k, t, mask), s) == r, (s, r)
+
+
+def test_face_checks_refuse_a_non_ascent_alike():
+    w, A = RUN_W, {(2, 5), (5, 4)}  # 54 is a descent of w
+    want = f"A contains non-ascents of {RUN_W}: [(5, 4)]"
+    for build in (sw.add_ascents, sw.SFace, og.face_simplex):
+        with pytest.raises(ValidationError) as err:
+            build(w, A, RUN_S)
+        assert str(err.value) == want and err.value.witness == (5, 4)
+    assert sw.check_ascents(w, [(2, 5)]) == frozenset({(2, 5)})
+
+
 def test_realize_computes_each_height_once(monkeypatch):
     calls = []
     height = og._scaled_height

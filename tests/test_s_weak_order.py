@@ -541,4 +541,3 @@ def test_faces():
 
 def test_serialization():
     assert sw.serialize_word((3, 2, 2, 1)) == "3,2,2,1"
-    assert sw.parse_word("3,2,2,1") == (3, 2, 2, 1)

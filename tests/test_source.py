@@ -124,20 +124,8 @@ def test_entry_layers_use_the_public_api():
 # or when it is folded into another function or deleted
 UNNAMED_ALLOWED = {
     "bicho.all_bump_route_oru",
-    "bicho.equivariance_holds",
-    "bicho.mariposa_graph",
-    "bicho.oruga_graph",
-    "bicho.split_clique",
     "flows.flow_key",
-    "flows.is_minimal_conflict",
-    "flows.reduce_multiedges",
-    "oruga.face_simplex",
-    "permutree.refines",
-    "s_weak_order.all_s_trees",
-    "s_weak_order.face_contains",
-    "s_weak_order.parse_word",
     "s_weak_order.reverse_sorted_word",
-    "vectors.permutree_from_inversion_set",
 }
 
 
