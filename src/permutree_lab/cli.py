@@ -88,6 +88,17 @@ def _parse_eps(text):
     return eps
 
 
+def _count(text):
+    """An int >= 0, the argparse type of --cap and --approx."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
+
+
 def _attach_negative_values(argv):
     """`--epsilon -1/2` as `--epsilon=-1/2`: argparse reads a value that
     starts with '-' as an option unless it is a plain negative number."""
@@ -258,7 +269,7 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--cap", type=int, default=None, help="override size caps")
+        sp.add_argument("--cap", type=_count, default=None, help="override size caps")
 
     tree = sub.add_parser("permutree", help="permutree lattices and sorting")
     tree.add_argument("verb", choices=["count", "lattice", "insert", "sort"])
@@ -274,7 +285,7 @@ def build_parser():
     sord.add_argument("verb", choices=["count", "hasse", "realize", "identities"])
     sord.add_argument("--s", required=True, help="comma-separated composition")
     sord.add_argument("--epsilon", default=None, help="exact rational, e.g. 1/100")
-    sord.add_argument("--approx", type=int, default=None, help="decimal digits for rationals")
+    sord.add_argument("--approx", type=_count, default=None, help="decimal digits for rationals")
     common(sord)
     sord.set_defaults(func=cmd_sorder)
 

@@ -546,10 +546,6 @@ def conservation_violation(graph, flow):
     return None
 
 
-def flow_key(flow):
-    return tuple(sorted((str(e), v) for e, v in flow.items()))
-
-
 def _dual_covers(graph, rs, masks):
     """Cover pairs (lower, upper) of the oriented dual graph of a triangulation,
     as indices into `masks`, its maximal cliques as bitmasks over the routes

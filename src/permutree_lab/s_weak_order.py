@@ -160,7 +160,7 @@ def all_words(s):
 
 
 def blocks(w):
-    """a-block spans as half-open index intervals [start, end]."""
+    """a-block spans as closed index intervals [start, end]."""
     first, last = {}, {}
     for k, v in enumerate(w):
         first.setdefault(v, k)
@@ -383,30 +383,6 @@ def transpose_ascent(w, pair, s) -> Word:
     return w[:start] + (c,) + w[start:end] + w[end + 1 :]
 
 
-def a_dependent(w, A, pair, spans) -> bool:
-    """Whether (a, c) gains an inversion in w + A; `spans` is `blocks(w)`.
-
-    The witness chain starts at the largest letter below c whose block
-    contains the a-block, then hops across directly-adjacent blocks along
-    ascents of A until it hits an occurrence of c.
-    """
-    a, c = pair
-    sa, ea = spans[a]
-    # b_1: greatest letter < c with B_a inside B_b (a itself is one)
-    b = max(b for b, (i, j) in spans.items() if b < c and i <= sa and ea <= j)
-    while spans[b][1] + 1 < len(w):
-        end = spans[b][1]
-        x = w[end + 1]
-        if (b, x) not in A or not b < x <= c:
-            return False
-        if x == c:
-            return True
-        if spans[x][0] != end + 1:
-            return False  # the next letter must open its own block
-        b = x
-    return False
-
-
 def tc_closure(m, s):
     """Transitive closure: |(c, a)| >= |(c, b)| whenever |(b, a)| > 0, in one
     pass, a from n-2 down to 1 and b upward, so every entry read is final."""
@@ -420,17 +396,30 @@ def tc_closure(m, s):
 
 
 def add_ascents(w, A, s) -> Word:
-    """w + A via the direct A-dependency characterization.
+    """w + A: entry (c, a) grows, below s_c, iff bit c of `gain[a]` is set.
+
+    `hops[b]` holds the letters an A-chain reaches from the b-block.  c is
+    in `gain[a]` when the chain from the greatest letter below c whose block
+    holds the a-block reaches c: with p the least letter above a whose block
+    does, `hops[a]` gives the c up to p and `gain[p]` the others.
 
     >>> add_ascents((3,3,7,2,5,4,5,5,7,1,6), {(2,5),(5,7),(1,6)}, (1,1,2,1,3,1,2))
     (3, 3, 7, 7, 5, 2, 4, 5, 5, 6, 1)
     """
     w = check_word(w, s)
     A = check_ascents(w, A)
-    spans, ends = blocks(w), {c for _, c in A}  # a chain to c ends on an ascent of A
+    n, spans = len(s), blocks(w)
+    hops, gain = [0] * (n + 1), [0] * (n + 1)
+    for a in range(n, 0, -1):
+        i, j = spans[a]
+        x = w[j + 1] if j + 1 < len(w) else None
+        if (a, x) in A:
+            hops[a] = 1 << x | (hops[x] if spans[x][0] == j + 1 else 0)
+        p = next((p for p in range(a + 1, n + 1) if spans[p][0] < i and j < spans[p][1]), None)
+        gain[a] = hops[a] if p is None else hops[a] & (2 << p) - 1 | gain[p]
     out = tuple(
-        k + 1 if k < s[c - 1] and c in ends and a_dependent(w, A, (a, c), spans) else k
-        for (c, a), k in zip(multiset_pairs(len(s)), _inversions(w, len(s)))
+        k + (k < s[c - 1] and gain[a] >> c & 1)
+        for (c, a), k in zip(multiset_pairs(n), _inversions(w, n))
     )
     return _decode(out, s)
 

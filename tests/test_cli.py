@@ -250,6 +250,20 @@ def test_cap_flag_overrides(capsys):
         assert code == 0 and json.loads(out)[key] == value, argv
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("flows", "routes", "--s", "1", "--cap", "-1"), "argument --cap: -1 is below 0"),
+        (("permutree", "lattice", "--delta", "nnn", "--cap=-3"), "argument --cap: -3 is below 0"),
+        (("sorder", "realize", "--s", "1", "--approx", "-1"), "argument --approx: -1 is below 0"),
+    ],
+)
+def test_negative_cap_or_approx_is_a_usage_error(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"invalid input: {error}"]
+
+
 def _first_edge(d, **change):
     return {**d, "edges": [{**d["edges"][0], **change}, *d["edges"][1:]]}
 

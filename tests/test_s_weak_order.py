@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutree_lab import oruga as og
 from permutree_lab import s_weak_order as sw
 from permutree_lab import verify
 from permutree_lab import weak_order as wo
@@ -423,7 +424,7 @@ def test_add_ascents_degenerate():
         assert sw.add_ascents(RUN_W, {pair}, RUN_S) == sw.transpose_ascent(RUN_W, pair, RUN_S)
 
 
-@pytest.mark.parametrize("s", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2)])
+@pytest.mark.parametrize("s", verify._strict_compositions(5))
 def test_add_ascents_matches_fixpoint(s):
     for w in sw.all_words(s):
         asc = sw.ascents(w)
@@ -442,6 +443,21 @@ def test_criterion_7_reports_a_closure_error(monkeypatch):
     result = verify.criterion_7(level="quick")
     assert not result["ok"]
     assert result["detail"] == "closure s=(1,) w=(1,) A=[]: multiset transitivity fails"
+
+
+def test_criterion_7_reports_a_broken_dkk_dual(monkeypatch):
+    # the dual of each s-oruga triangulation loses one cover: the first
+    # order with a cover, s = (1, 1), must fail the DKK comparison
+    build = og.hasse_from_adjacency
+
+    def drop_a_cover(s):
+        H = build(s)
+        return Hasse(H.elements, sorted(H.cover_pairs())[1:])
+
+    monkeypatch.setattr(og, "hasse_from_adjacency", drop_a_cover)
+    result = verify.criterion_7(level="quick")
+    assert not result["ok"]
+    assert result["detail"] == "DKK dual (1, 1)"
 
 
 def _decode_join(x, y, s):

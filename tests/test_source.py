@@ -122,11 +122,7 @@ def test_entry_layers_use_the_public_api():
 # public functions and methods that only tests reach; this list may only
 # shrink: a name leaves it when a module, README or the benchmark uses it,
 # or when it is folded into another function or deleted
-UNNAMED_ALLOWED = {
-    "bicho.all_bump_route_oru",
-    "flows.flow_key",
-    "s_weak_order.reverse_sorted_word",
-}
+UNNAMED_ALLOWED = set()
 
 
 def test_public_names_are_used():
