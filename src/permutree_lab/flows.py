@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from itertools import accumulate, combinations
+from math import comb, factorial, prod
 
 from .caps import require_cap
 from .errors import ValidationError
@@ -137,18 +137,12 @@ def graph_from_json(data) -> FramedGraph:
 
 
 def routes(graph) -> list:
-    """All maximal source-to-sink paths, in a deterministic order."""
-    out = []
-
-    def rec(v, acc):
-        if v == graph.n:
-            out.append(tuple(acc))
-            return
-        for e in sorted(graph.outgoing[v], key=str):
-            rec(graph.head(e), acc + [e])
-
-    rec(0, [])
-    return out
+    """All maximal source-to-sink paths, built from the sink back: a vertex's
+    tails are its out-edges, ordered by `str`, each followed by its head's."""
+    tails = {graph.n: [()]}
+    for v in range(graph.n - 1, -1, -1):
+        tails[v] = [(e,) + r for e in sorted(graph.outgoing[v], key=str) for r in tails[graph.head(e)]]
+    return tails[0]
 
 
 def count_routes(graph) -> int:
@@ -327,7 +321,11 @@ def max_cliques(graph, cap=None):
 
 
 def check_netflow(graph, a):
-    a = tuple(int(x) for x in a)
+    a = tuple(a)
+    for x in a:
+        if x % 1:
+            raise ValidationError(f"netflow entry {x!r} is not an integer")
+    a = tuple(map(int, a))
     if len(a) != graph.n + 1:
         raise ValidationError(f"netflow needs {graph.n + 1} entries")
     if sum(a) != 0:
@@ -347,120 +345,88 @@ def netflow_d(graph):
 
 
 def integer_flows(graph, a):
-    """All integer a-flows, by forward propagation over the vertices."""
+    """All integer a-flows as dicts over the edges: a DFS over the vertices
+    that splits each need over the out-edges (by `str`) with
+    `dominance_compositions`.  Parallel edges stay apart, unlike in `kostant`."""
     a = check_netflow(graph, a)
-    order = sorted(graph.edges, key=str)
-    out_edges = [sorted(graph.outgoing[v], key=str) for v in range(graph.n + 1)]
-    flows = []
+    out = [[(e, graph.head(e)) for e in sorted(graph.outgoing[v], key=str)] for v in range(graph.n + 1)]
+    flow, flows = {}, []  # each flow sets every edge, vertex by vertex
 
-    def rec(v, supply, flow):
-        if v == graph.n:
+    def rec(v, supply):
+        if v > graph.n:
             flows.append(dict(flow))
             return
-        need = supply[v] + a[v]
-        if need < 0:
-            return
-        es = out_edges[v]
-        if not es:
-            if need != 0:
-                return
-            rec(v + 1, supply, flow)
-            return
+        for split in dominance_compositions(supply[v] + a[v], len(out[v]), (0,) * len(out[v])):
+            supply2 = list(supply)
+            for (e, h), x in zip(out[v], split):
+                flow[e] = x
+                supply2[h] += x
+            rec(v + 1, supply2)
 
-        def spread(k, remaining):
-            if k == len(es) - 1:
-                flow[es[k]] = remaining
-                supply2 = dict(supply)
-                for e in es:
-                    supply2[graph.head(e)] = supply2.get(graph.head(e), 0) + flow[e]
-                rec(v + 1, supply2, flow)
-                return
-            for val in range(remaining + 1):
-                flow[es[k]] = val
-                spread(k + 1, remaining - val)
-
-        spread(0, need)
-
-    rec(0, {v: 0 for v in range(graph.n + 1)}, {})
-    for f in flows:
-        for e in order:
-            f.setdefault(e, 0)
+    rec(0, [0] * (graph.n + 1))
     return flows
 
 
 def kostant(graph, a, cap=None) -> int:
-    """Number of integer a-flows, by a layered DP over pending supplies;
-    refuses once a layer's table of supplies outgrows `kostant_states`."""
+    """Number of integer a-flows, by a layered DP over pending supplies: at
+    vertex v each need is split over v's distinct heads once, with
+    `dominance_compositions`, for all states that share it, x units over m
+    parallel edges counting comb(x + m - 1, m - 1) ways.  `kostant_states`
+    is checked on each new state, so a refusal names the first size past it."""
     a = check_netflow(graph, a)
-    n = graph.n
-    heads = {
-        v: sorted({graph.head(e) for e in graph.outgoing[v]}) for v in range(n + 1)
-    }
-    mult = {
-        v: {h: sum(1 for e in graph.outgoing[v] if graph.head(e) == h) for h in heads[v]}
-        for v in range(n + 1)
-    }
-    # state: supplies pending at vertices > v
-    states = {tuple([0] * (n + 1)): 1}
-    for v in range(n + 1):
-        nxt = {}
+    limit = require_cap("kostant_states", 0, cap)  # the cap in force
+    states = {(0,) * (graph.n + 1): 1}
+    for v in range(graph.n + 1):
+        hs = sorted(map(graph.head, graph.outgoing[v]))
+        heads = [(h, hs.count(h)) for h in dict.fromkeys(hs)]  # (head, multiplicity)
+        by_need, nxt = {}, {}
         for supply, ways in states.items():
-            need = supply[v] + a[v]
-            if need < 0:
-                continue
-            hs = heads[v]
-            if not hs:
-                if need != 0:
-                    continue
-                nxt[supply] = nxt.get(supply, 0) + ways
-                continue
-
-            def spread(k, remaining, acc, extra):
-                if k == len(hs) - 1:
-                    h = hs[k]
-                    ways2 = acc * comb(remaining + mult[v][h] - 1, mult[v][h] - 1)
+            by_need.setdefault(supply[v] + a[v], []).append((supply, ways))
+        for need, group in by_need.items():
+            for split in dominance_compositions(need, len(heads), (0,) * len(heads)):
+                weight = 1
+                for (_, m), x in zip(heads, split):
+                    if m > 1:
+                        weight *= comb(x + m - 1, m - 1)
+                for supply, ways in group:
                     sup = list(supply)
-                    for hh, val in extra + [(h, remaining)]:
-                        sup[hh] += val
+                    for (h, _), x in zip(heads, split):
+                        sup[h] += x
                     key = tuple(sup)
-                    nxt[key] = nxt.get(key, 0) + ways * ways2
-                    return
-                h = hs[k]
-                for val in range(remaining + 1):
-                    spread(
-                        k + 1,
-                        remaining - val,
-                        acc * comb(val + mult[v][h] - 1, mult[v][h] - 1),
-                        extra + [(h, val)],
-                    )
-
-            spread(0, need, 1, [])
-            require_cap("kostant_states", len(nxt), cap)
+                    nxt[key] = nxt.get(key, 0) + ways * weight
+                    if len(nxt) > limit:
+                        require_cap("kostant_states", len(nxt), cap)
         states = nxt
     return sum(states.values())
 
 
 def dominance_compositions(total, parts, mins):
-    """Weak compositions j of `total` with partial sums >= those of `mins`."""
-    out = []
-    floor = [0] * (parts + 1)
-    for k in range(parts):
-        floor[k + 1] = floor[k] + mins[k]
-
-    def rec(k, acc, used):
-        if k == parts - 1:
-            last = total - used
-            if last >= 0:
-                out.append(tuple(acc + [last]))
+    """Weak compositions j of `total` into `parts` parts whose partial sums
+    before the last are >= those of `mins`, lazily in lexicographic order:
+    none for a negative total, and () alone for total = parts = 0."""
+    if parts <= 1:
+        if total == 0 or parts and total > 0:
+            yield (total,) * parts
+        return
+    floors = list(accumulate(mins[: parts - 1]))
+    j, i, used = [0] * parts, 0, 0  # j[:i] is fixed and sums to used
+    while True:
+        for k in range(i, parts - 1):  # the least admissible rest
+            j[k] = max(floors[k] - used, 0)
+            used += j[k]
+        if used > total:  # only on the first pass: no composition at all
             return
-        for v in range(total - used + 1):
-            if used + v >= floor[k + 1]:
-                rec(k + 1, acc + [v], used + v)
-
-    if parts == 0:
-        return [()] if total == 0 else []
-    rec(0, [], 0)
-    return out
+        j[-1] = total - used
+        yield tuple(j)
+        i = parts - 2
+        while i >= 0 and used == total:  # back to the last part that can grow
+            used -= j[i]
+            i -= 1
+        if i < 0:
+            return
+        j[i] += 1
+        used += 1
+        i += 1
 
 
 def count_dominance_compositions(total, parts, mins) -> int:
@@ -468,14 +434,8 @@ def count_dominance_compositions(total, parts, mins) -> int:
     if parts == 0 or total < 0:
         return int(total == 0)
     ways = [1] + [0] * total  # ways[u]: admissible prefixes summing to u
-    floor = 0
-    for k in range(parts - 1):
-        floor += mins[k]
-        acc, nxt = 0, []
-        for u in range(total + 1):
-            acc += ways[u]
-            nxt.append(acc if u >= floor else 0)
-        ways = nxt
+    for floor in accumulate(mins[: parts - 1]):
+        ways = [w if u >= floor else 0 for u, w in enumerate(accumulate(ways))]
     return sum(ways)
 
 
@@ -487,27 +447,17 @@ def lidskii_volume(graph, a, cap=None) -> int:
     of terms is checked against the cap `lidskii_terms` before the sum.
     """
     a = check_netflow(graph, a)
-    n = graph.n
+    n, m = graph.n, len(graph.edges)
     if any(x < 0 for x in a[:-1]):
         raise ValidationError("Lidskii needs a_0..a_{n-1} >= 0")
-    m = len(graph.edges)
-    o = [graph.outdegrees()[v] - 1 for v in range(n)]
+    o = [d - 1 for d in graph.outdegrees()[:n]]
     require_cap("lidskii_terms", count_dominance_compositions(m - n, n, o), cap)
     total = 0
-    mn = factorial(m - n)
     for j in dominance_compositions(m - n, n, o):
-        coeff = mn
-        term = 1
-        for k in range(n):
-            coeff //= factorial(j[k])
-            if a[k] == 0 and j[k] > 0:
-                term = 0
-                break
-            term *= a[k] ** j[k]
-        if term == 0:
-            continue
-        shifted = tuple(j[k] - o[k] for k in range(n)) + (0,)
-        total += coeff * term * kostant(graph, shifted)
+        term = prod(map(pow, a, j))  # 0 ** 0 == 1: only a_k = 0 < j_k gives 0
+        if term:
+            coeff = factorial(m - n) // prod(map(factorial, j))
+            total += coeff * term * kostant(graph, (*(k - d for k, d in zip(j, o)), 0))
     return total
 
 

@@ -310,12 +310,24 @@ def test_unreadable_graph_file_is_refused(content, capsys, tmp_path):
 def test_bicho_verbs_pass_their_cap_to_the_kostant_dp(capsys):
     for argv, size in [
         (("verify", "--delta", "nuuununxuxxnxdndddudxdnudnudnxxundd", "--cap", "4"), 5),
-        (("conjectures", "--delta", "nuuuun", "--cap", "16"), 19),  # 16 conjecture terms
+        (("conjectures", "--delta", "nuuuun", "--cap", "16"), 17),  # 16 conjecture terms
     ]:
         code, out, err = run_cli(capsys, "bicho", *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1, argv
         assert f"kostant_states: requested size {size} exceeds cap {argv[-1]} " in err, argv
+
+
+def test_kostant_cap_is_checked_within_one_spread(capsys):
+    """The source's need of 40 alone spreads into C(45, 5) = 1,221,759
+    supplies; the refusal comes at the first state past the cap."""
+    netflow = ",".join(["40"] + ["0"] * 6 + ["-40"])
+    code, out, err = run_cli(capsys, "flows", "kostant", "--delta", "nxxxxxn", "--netflow", netflow)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "resource cap: kostant_states: requested size 100001 exceeds cap 100000 "
+        "(raise it with --cap or cap=)"
+    ]
 
 
 def test_verify_quick(capsys):

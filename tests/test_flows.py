@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -40,6 +42,36 @@ def test_routes_fixture(G):
     assert ("c", "r") in rs
     two = fl.routes(doubled_path(1))
     assert len(two) == 2
+
+
+def recursive_routes(graph):
+    """Routes by a depth-first walk from the source, out-edges by `str`."""
+    out = []
+
+    def rec(v, acc):
+        if v == graph.n:
+            out.append(tuple(acc))
+            return
+        for e in sorted(graph.outgoing[v], key=str):
+            rec(graph.head(e), acc + [e])
+
+    rec(0, [])
+    return out
+
+
+def bang_graph():
+    """Two steps of parallel edges whose ids order otherwise than the routes'
+    `str`s: "a" sorts before "a!", but "('a', 'b!')" before "('a', 'b')"."""
+    edges = {"a": (0, 1), "a!": (0, 1), "b": (1, 2), "b!": (1, 2)}
+    return fl.FramedGraph(2, edges, {1: {"in": ["a", "a!"], "out": ["b", "b!"]}})
+
+
+def test_routes_match_the_recursive_oracle(G):
+    graphs = [G, bang_graph(), doubled_path(3, "tuv")] + [doubled_path(n) for n in range(1, 5)]
+    graphs += [graph for _, graph in small_oruga_graphs(7)]
+    graphs += [bi.build_bic(pt.Decoration(d)) for d in small_decorations(6)]
+    for graph in graphs:
+        assert fl.routes(graph) == recursive_routes(graph)
 
 
 def test_count_routes_matches_enumeration(G):
@@ -216,6 +248,38 @@ def test_kostant_dp_equals_enumeration(G):
             assert fl.kostant(graph, a) == len(fl.integer_flows(graph, a))
 
 
+def test_non_integral_netflow_is_refused(G):
+    for call, a in [
+        (fl.kostant, (1.9, 0, 0, -1.9)),
+        (fl.integer_flows, (Fraction(3, 2), 0, 0, Fraction(-3, 2))),
+        (fl.lidskii_volume, (1.5, 0, 0, -1.5)),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(f"netflow entry {a[0]!r} is not an integer")):
+            call(G, a)
+    assert fl.kostant(G, (1.0, 0, 0, -1.0)) == fl.kostant(G, (1, 0, 0, -1)) == 5
+
+
+# Kostant counts and sorted integer-flow sets for the netflows i and d of
+# the 469 graphs of `test_flows_are_pinned`, as the depth-first spreads
+# over each out-edge and each distinct head gave them
+FLOWS_SHA256 = "67ccd6617dd640f10492d57b8ba38f015edf3c2659d7347f1b638635d0b06bb6"
+
+
+def test_flows_are_pinned(G):
+    graphs = [G] + [graph for _, graph in small_oruga_graphs(7)]
+    graphs += [bi.build_bic(pt.Decoration(d)) for d in small_decorations(6)]
+    assert len(graphs) == 469
+    digest = hashlib.sha256()
+    for graph in graphs:
+        edges = sorted(graph.edges, key=str)
+        for a in (fl.netflow_i(graph), fl.netflow_d(graph)):
+            flows = sorted(tuple(f[e] for e in edges) for f in fl.integer_flows(graph, a))
+            count = fl.kostant(graph, a)
+            assert count == len(flows) == len(set(flows))
+            digest.update(repr((a, count, flows)).encode())
+    assert digest.hexdigest() == FLOWS_SHA256
+
+
 def test_dkk_height_values(G):
     eps = Fraction(1, 100)
     assert fl.dkk_height(("c", "r"), G, eps) == 0  # both frame positions are 0
@@ -252,8 +316,21 @@ def test_count_dominance_compositions_matches_enumeration():
     for total in range(-1, 7):
         for parts in range(5):
             for mins in product(range(-1, 3), repeat=parts):
-                want = len(fl.dominance_compositions(total, parts, mins))
+                want = len(list(fl.dominance_compositions(total, parts, mins)))
                 assert fl.count_dominance_compositions(total, parts, mins) == want
+
+
+def test_dominance_compositions_edge_cases():
+    for total in range(7):
+        for parts in range(1, 5):
+            got = list(fl.dominance_compositions(total, parts, (0,) * parts))
+            assert len(set(got)) == len(got) == math.comb(total + parts - 1, parts - 1)
+            assert got == sorted(got) and all(sum(j) == total and min(j) >= 0 for j in got)
+    assert [list(fl.dominance_compositions(t, 0, ())) for t in (-1, 0, 1)] == [[], [()], []]
+    for parts in range(5):
+        assert list(fl.dominance_compositions(-1, parts, (0,) * parts)) == []
+    # lazy: the first of C(10**6 + 5, 5) compositions comes at once
+    assert next(iter(fl.dominance_compositions(10**6, 6, (0,) * 6))) == (0,) * 5 + (10**6,)
 
 
 def test_lidskii_terms_cap():
@@ -298,22 +375,19 @@ def strict_compositions(total):
     return [(k,) + rest for k in range(1, total + 1) for rest in strict_compositions(total - k)]
 
 
-def small_oruga_graphs():
-    """The s-oruga graph of every strict composition with |s| <= 6."""
-    return [(s, og.build_oru(s)) for total in range(1, 7) for s in strict_compositions(total)]
+def small_oruga_graphs(most=6):
+    """The s-oruga graph of every strict composition with |s| <= most."""
+    return [(s, og.build_oru(s)) for total in range(1, most + 1) for s in strict_compositions(total)]
 
 
-def small_decorations():
-    """Every decoration with 2 <= n <= 5 (its ends are 'n')."""
-    return ["n" + "".join(mid) + "n" for k in range(4) for mid in product(pt.SYMBOLS, repeat=k)]
+def small_decorations(most=5):
+    """Every decoration with 2 <= n <= most (its ends are 'n')."""
+    return ["n" + "".join(mid) + "n" for k in range(most - 1) for mid in product(pt.SYMBOLS, repeat=k)]
 
 
 def test_max_cliques_are_ordered_by_route_strs():
-    # "a" sorts before "a!", but "('a', 'b!')" before "('a', 'b')": the
-    # routes come out of `routes` in another order than their strs
-    edges = {"a": (0, 1), "a!": (0, 1), "b": (1, 2), "b!": (1, 2)}
-    bang = fl.FramedGraph(2, edges, {1: {"in": ["a", "a!"], "out": ["b", "b!"]}})
-    graphs = [bang] + [graph for _, graph in small_oruga_graphs()]
+    # the routes of `bang_graph` come out of `routes` in another order than their strs
+    graphs = [bang_graph()] + [graph for _, graph in small_oruga_graphs()]
     graphs += [bi.build_bic(pt.Decoration(d)) for d in small_decorations()]
     for graph in graphs:
         cls = fl.max_cliques(graph)
