@@ -21,8 +21,13 @@ DEFAULT_CAPS = {
 }
 
 
+def cap_for(name, override=None):
+    """The cap in force: the explicit override, else the default."""
+    return DEFAULT_CAPS[name] if override is None else int(override)
+
+
 def require_cap(name, value, override=None):
-    cap = DEFAULT_CAPS[name] if override is None else int(override)
+    cap = cap_for(name, override)
     if value > cap:
         raise ResourceCapError(
             f"{name}: requested size {value} exceeds cap {cap} "

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, factorial, prod
 
-from .caps import require_cap
+from .caps import cap_for, require_cap
 from .errors import ValidationError
 
 
@@ -36,7 +36,7 @@ class FramedGraph:
         for e, (a, b) in self.edges.items():
             self.outgoing[a].append(e)
             self.incoming[b].append(e)
-        self._in_pos, self._out_pos = {}, {}
+        self._in_pos, self._out_pos, self.framing = {}, {}, {}
         for v in range(1, n):
             spec = framing.get(v, {})
             ins, outs = list(spec.get("in", [])), list(spec.get("out", []))
@@ -48,13 +48,9 @@ class FramedGraph:
                 self._in_pos[e] = k
             for k, e in enumerate(outs):
                 self._out_pos[e] = k
+            self.framing[v] = {"in": ins, "out": outs}
         self._pos = {e: (b, self.in_pos(e), self.out_pos(e)) for e, (_, b) in self.edges.items()}
         self._frames = {}  # route -> its `_frame`; `_pos` gives an edge's head and positions
-        self.framing = {
-            v: {"in": list(framing.get(v, {}).get("in", [])),
-                "out": list(framing.get(v, {}).get("out", []))}
-            for v in range(1, n)
-        }
 
     def tail(self, e):
         return self.edges[e][0]
@@ -137,11 +133,17 @@ def graph_from_json(data) -> FramedGraph:
 
 
 def routes(graph) -> list:
-    """All maximal source-to-sink paths, built from the sink back: a vertex's
+    """All maximal source-to-sink paths, built from the sink back over the
+    vertices the source reaches, so no list outgrows the routes: a vertex's
     tails are its out-edges, ordered by `str`, each followed by its head's."""
+    reached = {0}
+    for v in range(graph.n):
+        if v in reached:
+            reached.update(map(graph.head, graph.outgoing[v]))
     tails = {graph.n: [()]}
     for v in range(graph.n - 1, -1, -1):
-        tails[v] = [(e,) + r for e in sorted(graph.outgoing[v], key=str) for r in tails[graph.head(e)]]
+        outs = sorted(graph.outgoing[v], key=str) if v in reached else []
+        tails[v] = [(e,) + r for e in outs for r in tails[graph.head(e)]]
     return tails[0]
 
 
@@ -257,14 +259,11 @@ def dkk_height(route, graph, eps) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    total = Fraction(0)
-    k = len(route)
-    for a in range(k):
-        ia = graph.in_pos(route[a])
-        for c in range(a + 1, k):
-            oc = graph.out_pos(route[c])
-            total -= eps ** (c - a) * (ia + oc) ** 2
-    return total
+    terms = (
+        eps ** (c - a) * (graph.in_pos(route[a]) + graph.out_pos(route[c])) ** 2
+        for a, c in combinations(range(len(route)), 2)
+    )
+    return -sum(terms, Fraction(0))
 
 
 def is_admissible(graph, height, all_routes=None, witness=False):
@@ -286,10 +285,14 @@ def max_cliques(graph, cap=None):
     """All maximal cliques of the coherence relation (Bron-Kerbosch, pivoting),
     ordered by the sorted `str`s of their routes.
 
-    Every output is checked to have |E| - |V| + 2 routes.
+    Refuses a graph with an edge on no route, whose cliques are smaller;
+    every output is checked to have |E| - |V| + 2 routes.
     """
     require_cap("max_cliques_routes", count_routes(graph), cap)
     rs = routes(graph)
+    stranded = sorted(set(graph.edges).difference(*rs), key=str)
+    if stranded:
+        raise ValidationError(f"max_cliques needs every edge on a route, not {stranded[0]!r}")
     idx = range(len(rs))
     adj = {i: set() for i in idx}
     for i, j in combinations(idx, 2):
@@ -313,9 +316,8 @@ def max_cliques(graph, cap=None):
     for cl in out:
         if len(cl) != want:
             raise AssertionError(f"maximal clique of size {len(cl)}, expected {want}")
-    rank = [0] * len(rs)  # the order of the routes' strs, each formatted once
-    for k, i in enumerate(sorted(idx, key=lambda i: str(rs[i]))):
-        rank[i] = k
+    # the order of the routes' strs, each formatted once
+    rank = {i: k for k, i in enumerate(sorted(idx, key=lambda i: str(rs[i])))}
     out.sort(key=lambda cl: sorted(rank[i] for i in cl))
     return [frozenset(rs[i] for i in cl) for cl in out]
 
@@ -374,7 +376,7 @@ def kostant(graph, a, cap=None) -> int:
     parallel edges counting comb(x + m - 1, m - 1) ways.  `kostant_states`
     is checked on each new state, so a refusal names the first size past it."""
     a = check_netflow(graph, a)
-    limit = require_cap("kostant_states", 0, cap)  # the cap in force
+    limit = cap_for("kostant_states", cap)
     states = {(0,) * (graph.n + 1): 1}
     for v in range(graph.n + 1):
         hs = sorted(map(graph.head, graph.outgoing[v]))
@@ -384,10 +386,7 @@ def kostant(graph, a, cap=None) -> int:
             by_need.setdefault(supply[v] + a[v], []).append((supply, ways))
         for need, group in by_need.items():
             for split in dominance_compositions(need, len(heads), (0,) * len(heads)):
-                weight = 1
-                for (_, m), x in zip(heads, split):
-                    if m > 1:
-                        weight *= comb(x + m - 1, m - 1)
+                weight = prod(comb(x + m - 1, m - 1) for (_, m), x in zip(heads, split))
                 for supply, ways in group:
                     sup = list(supply)
                     for (h, _), x in zip(heads, split):
@@ -430,7 +429,7 @@ def dominance_compositions(total, parts, mins):
 
 
 def count_dominance_compositions(total, parts, mins) -> int:
-    """len(dominance_compositions(total, parts, mins)), by a DP over partial sums."""
+    """len(list(dominance_compositions(total, parts, mins))), by a DP over partial sums."""
     if parts == 0 or total < 0:
         return int(total == 0)
     ways = [1] + [0] * total  # ways[u]: admissible prefixes summing to u

@@ -307,6 +307,26 @@ def test_unreadable_graph_file_is_refused(content, capsys, tmp_path):
     assert err.startswith(f"invalid input: cannot read framed graph from {path}: ")
 
 
+def test_routes_of_a_graph_with_a_stranded_path(capsys, tmp_path):
+    """An edge from 0 to 17 beside a doubled path from 1 to 17 that the
+    source never reaches: `routes` prints its one route at once, and
+    `cliques` refuses it, since the path's edges lie on no route."""
+    n = 17
+    edges = [{"id": "s", "tail": 0, "head": n}]
+    edges += [{"id": f"{c}{v}", "tail": v, "head": v + 1} for v in range(1, n) for c in "tu"]
+    framing = {
+        str(v): {"in": [f"{c}{v-1}" for c in "tu" if v > 1], "out": [f"{c}{v}" for c in "tu"]}
+        for v in range(1, n)
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": n + 1, "edges": edges, "framing": framing}))
+    code, out, err = run_cli(capsys, "flows", "routes", "--graph", str(path), "--json")
+    assert (code, json.loads(out), err) == (0, {"count": 1, "routes": [["s"]]}, "")
+    code, out, err = run_cli(capsys, "flows", "cliques", "--graph", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["invalid input: max_cliques needs every edge on a route, not 't1'"]
+
+
 def test_bicho_verbs_pass_their_cap_to_the_kostant_dp(capsys):
     for argv, size in [
         (("verify", "--delta", "nuuununxuxxnxdndddudxdnudnudnxxundd", "--cap", "4"), 5),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,6 +25,17 @@ def doubled_path(n, letters="tu"):
     edges = {f"{c}{v}": (v, v + 1) for v in range(n) for c in letters}
     framing = {
         v: {"in": [f"{c}{v-1}" for c in letters], "out": [f"{c}{v}" for c in letters]}
+        for v in range(1, n)
+    }
+    return fl.FramedGraph(n, edges, framing)
+
+
+def stranded_path(n):
+    """An edge "s" from 0 to n beside a doubled path from 1 to n that the
+    source never reaches: one route, but 2^(n-1) paths from vertex 1."""
+    edges = {"s": (0, n), **{f"{c}{v}": (v, v + 1) for v in range(1, n) for c in "tu"}}
+    framing = {
+        v: {"in": [f"{c}{v-1}" for c in "tu" if v > 1], "out": [f"{c}{v}" for c in "tu"]}
         for v in range(1, n)
     }
     return fl.FramedGraph(n, edges, framing)
@@ -67,12 +79,26 @@ def bang_graph():
 
 
 def test_routes_match_the_recursive_oracle(G):
-    graphs = [G, bang_graph(), doubled_path(3, "tuv")] + [doubled_path(n) for n in range(1, 5)]
+    graphs = [G, bang_graph(), doubled_path(3, "tuv"), stranded_path(3)]
+    graphs += [doubled_path(n) for n in range(1, 5)]
     graphs += [graph for _, graph in small_oruga_graphs(7)]
     graphs += [bi.build_bic(pt.Decoration(d)) for d in small_decorations(6)]
     for graph in graphs:
         assert fl.routes(graph) == recursive_routes(graph)
 
+
+
+def test_routes_skip_what_the_source_does_not_reach():
+    graph = stranded_path(17)
+    tracemalloc.start()
+    try:
+        assert fl.routes(graph) == [("s",)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the 65,536 paths from vertex 1 alone take about 12 MB
+    with pytest.raises(ValidationError, match="every edge on a route, not 't1'"):
+        fl.max_cliques(graph)
 
 def test_count_routes_matches_enumeration(G):
     graphs = [G] + [doubled_path(n) for n in range(1, 5)]
