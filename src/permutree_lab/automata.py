@@ -28,24 +28,21 @@ HEALTHY, ILL, DEAD = "healthy", "ill", "dead"
 class PermutreeAutomaton:
     """Complete deterministic automaton over the alphabet {1, ..., n-1}.
 
-    `transitions` maps (state, letter) -> state only for non-loops; missing
-    arrows are loops.  `classify` maps a state to healthy/ill/dead.
+    `transitions` maps (state, letter) -> state; a missing arrow is a loop.
+    `classify` maps each state to healthy/ill/dead.
     """
 
-    def __init__(self, n, states, initial, transitions, classify, label=""):
-        self.n = n
-        self.states = list(states)
+    def __init__(self, initial, transitions, classify):
         self.initial = initial
-        self.transitions = dict(transitions)
-        self.classify = dict(classify)
-        self.label = label
+        self.transitions = transitions
+        self.classify = classify
 
     def step(self, state, letter):
         return self.transitions.get((state, letter), state)
 
-    def run(self, word, state=None):
+    def run(self, word):
         """Final state after reading the word left to right."""
-        state = self.initial if state is None else state
+        state = self.initial
         for letter in word:
             state = self.step(state, letter)
         return state
@@ -53,23 +50,34 @@ class PermutreeAutomaton:
     def accepts(self, word) -> bool:
         return self.classify[self.run(word)] != DEAD
 
-    def to_json(self):
-        key = {s: repr(s) for s in self.states}
-        table = {}
-        for s in self.states:
-            row = {}
-            for letter in range(1, self.n):
-                t = self.step(s, letter)
-                if t != s:
-                    row[str(letter)] = key[t]
-            table[key[s]] = row
-        return {
-            "label": self.label,
-            "alphabet": list(range(1, self.n)),
-            "initial": key[self.initial],
-            "states": {key[s]: self.classify[s] for s in sorted(self.states, key=repr)},
-            "transitions": table,
-        }
+
+class _Product(PermutreeAutomaton):
+    """P(U, D), stepped on demand: a state is the tuple of factor states.
+
+    `step` steps every factor the first time it meets an arrow, stores the
+    arrow in `transitions` (loops too) and files a new state in `classify`,
+    so both hold only the states a run has reached.
+    """
+
+    def __init__(self, factors):
+        self.factors = factors
+        initial = tuple(a.initial for a in factors)
+        super().__init__(initial, {}, {})
+        self._file(initial)
+
+    def _file(self, state):
+        classes = [a.classify[s] for a, s in zip(self.factors, state)]
+        self.classify[state] = DEAD if DEAD in classes else ILL if ILL in classes else HEALTHY
+
+    def step(self, state, letter):
+        nxt = self.transitions.get((state, letter))
+        if nxt is None:
+            nxt = state  # dead states absorb
+            if self.classify[state] != DEAD:
+                nxt = tuple(a.step(s, letter) for a, s in zip(self.factors, state))
+                self._file(nxt)
+            self.transitions[state, letter] = nxt
+        return nxt
 
 
 def build_single(kind, j, n) -> PermutreeAutomaton:
@@ -84,59 +92,32 @@ def build_single(kind, j, n) -> PermutreeAutomaton:
     flip = kind == "D"
     spot = (lambda k: n + 1 - k) if flip else (lambda k: k)
     letter = (lambda l: n - l) if flip else (lambda l: l)
-    states, transitions, classify = [], {}, {}
+    transitions, classify = {}, {}
     for k in range(spot(j), n + 1):
         h, i = (HEALTHY, spot(k)), (ILL, spot(k))
-        states += [h, i]
         classify[h], classify[i] = HEALTHY, ILL
-        if k < n:
-            transitions[(h, letter(k))] = (HEALTHY, spot(k + 1))
         transitions[(h, letter(k - 1))] = i
         if k < n:
             d = (DEAD, spot(k))
-            states.append(d)
             classify[d] = DEAD
+            transitions[(h, letter(k))] = (HEALTHY, spot(k + 1))
             transitions[(i, letter(k))] = d
-    return PermutreeAutomaton(n, states, (HEALTHY, j), transitions, classify, f"{kind}({j})")
+    return PermutreeAutomaton((HEALTHY, j), transitions, classify)
 
 
 def product(U, D, n) -> PermutreeAutomaton:
     """Synchronous product P(U, D) of all U(j), j in U, and D(j), j in D.
 
     A product state is dead as soon as one factor is dead, ill when some
-    factor is ill and none dead.  Only reachable states are materialized.
+    factor is ill and none dead.  States are built as runs reach them, at
+    most one per letter read; the empty product is the one state ().
     """
     return _product_cached(frozenset(U), frozenset(D), n)
 
 
 @lru_cache(maxsize=512)  # holds every (U, D, n) with n <= 7: 366 keys
 def _product_cached(U, D, n) -> PermutreeAutomaton:
-    U, D = sorted(set(U)), sorted(set(D))
-    factors = [build_single("U", j, n) for j in U] + [build_single("D", j, n) for j in D]
-    if not factors:
-        st = ("all",)
-        return PermutreeAutomaton(n, [st], st, {}, {st: HEALTHY}, "P(-,-)")
-    initial = tuple(a.initial for a in factors)
-    states, transitions, classify = [], {}, {}
-    stack = [initial]
-    seen = {initial}
-    while stack:
-        st = stack.pop()
-        states.append(st)
-        classes = [a.classify[s] for a, s in zip(factors, st)]
-        if DEAD in classes:
-            classify[st] = DEAD
-            continue  # dead states absorb: keep all letters as loops
-        classify[st] = ILL if ILL in classes else HEALTHY
-        for letter in range(1, n):
-            nxt = tuple(a.step(s, letter) for a, s in zip(factors, st))
-            if nxt != st:
-                transitions[(st, letter)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    label = f"P({{{','.join(map(str, U))}}},{{{','.join(map(str, D))}}})"
-    return PermutreeAutomaton(n, states, initial, transitions, classify, label)
+    return _Product([build_single(k, j, n) for k, js in (("U", U), ("D", D)) for j in sorted(js)])
 
 
 def _check_disjoint(U, D):

@@ -269,14 +269,13 @@ def dkk_height(route, graph, eps) -> Fraction:
 def is_admissible(graph, height, all_routes=None, witness=False):
     """Strict height drop from every minimal conflict to its resolvents.
 
-    `height` maps routes to any exactly ordered numbers, such as Fractions
-    or heights scaled to ints (dict or callable).  By the minimal-conflict
-    reduction this is equivalent to full admissibility.
+    `height` is a dict from routes to any exactly ordered numbers, such as
+    Fractions or heights scaled to ints.  By the minimal-conflict reduction
+    this is equivalent to full admissibility.
     """
-    h = height.__getitem__ if isinstance(height, dict) else height
     for p, q in minimal_conflicts(graph, all_routes):
         p2, q2 = resolvents(graph, p, q)
-        if not h(p) + h(q) > h(p2) + h(q2):
+        if not height[p] + height[q] > height[p2] + height[q2]:
             return (False, (p, q)) if witness else False
     return (True, None) if witness else True
 

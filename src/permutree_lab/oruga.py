@@ -25,6 +25,7 @@ from .s_weak_order import (
     check_composition,
     check_word,
     count_s_trees,
+    move_block,
     word_to_bumps,
 )
 
@@ -322,7 +323,7 @@ def realize(s, eps=None, cap=None) -> Realization:
         hw = prefix_heights[w]
         for (a, c) in ascents(w):
             start, end = spans[a]  # c follows the a-block: w = u1 B_a c u2
-            w2 = w[:start] + (c,) + w[start : end + 1] + w[end + 2 :]
+            w2 = move_block(w, start, end)
             if w2 not in prefix_heights:
                 raise AssertionError(f"cover {w} + {(a, c)} gives {w2}, not a word")
             lam = prefix_heights[w2][start + 1] + hw[end + 1] - hw[start] - hw[end + 2]

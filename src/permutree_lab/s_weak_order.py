@@ -377,10 +377,16 @@ def transpose_ascent(w, pair, s) -> Word:
     if (a, c) not in zip(w, w[1:]) or not a < c:
         raise ValidationError(f"({a},{c}) is not an ascent of {w}")
     start = w.index(a)
-    end = w.index(c, start)  # the a-block holds no letter above a
-    if w[end - 1] != a:
+    end = w.index(c, start) - 1  # the a-block holds no letter above a
+    if w[end] != a:
         raise AssertionError(f"the {a}-block of {w} is not followed by {c}")
-    return w[:start] + (c,) + w[start:end] + w[end + 1 :]
+    return move_block(w, start, end)
+
+
+def move_block(w, start, end) -> Word:
+    """u1 B_a c u2 -> u1 c B_a u2, where the a-block B_a spans w[start..end]
+    and c = w[end + 1]; unchecked, for callers that hold the spans."""
+    return w[:start] + (w[end + 1],) + w[start : end + 1] + w[end + 2 :]
 
 
 def tc_closure(m, s):

@@ -1,7 +1,7 @@
 import hashlib
 import itertools
-import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -90,6 +90,58 @@ def test_product_classification():
     empty = am.product(set(), set(), 4)
     for pi in wo.all_perms(4):
         assert all(empty.accepts(w) for w in wo.reduced_words(pi))
+
+
+def eager_product(U, D, n):
+    """P(U, D) built whole by a search from its initial state, with
+    `transitions` holding non-loops only: the oracle for `am.product`."""
+    factors = [am.build_single("U", j, n) for j in sorted(U)]
+    factors += [am.build_single("D", j, n) for j in sorted(D)]
+    initial = tuple(a.initial for a in factors)
+    transitions, classify, stack = {}, {initial: None}, [initial]
+    while stack:
+        st = stack.pop()
+        classes = [a.classify[s] for a, s in zip(factors, st)]
+        classify[st] = "dead" if "dead" in classes else "ill" if "ill" in classes else "healthy"
+        if classify[st] == "dead":
+            continue  # dead states absorb: keep all letters as loops
+        for letter in range(1, n):
+            nxt = tuple(a.step(s, letter) for a, s in zip(factors, st))
+            if nxt != st:
+                transitions[st, letter] = nxt
+                if nxt not in classify:
+                    classify[nxt] = None
+                    stack.append(nxt)
+    return initial, transitions, classify
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_product_steps_as_the_eager_product(n):
+    pairs = verify._disjoint_pairs(n) + ([(frozenset({2}), frozenset({2}))] if n == 3 else [])
+    for U, D in pairs:
+        initial, transitions, classify = eager_product(U, D, n)
+        aut = am.product(U, D, n)
+        assert aut.initial == initial
+        # `classify` lists each state after the one it was found from, so
+        # the product has stepped into every state before it is read here
+        for st in classify:
+            assert aut.classify[st] == classify[st], (U, D, st)
+            for letter in range(1, n):
+                assert aut.step(st, letter) == transitions.get((st, letter), st), (U, D, st, letter)
+        assert set(aut.classify) == set(classify)
+
+
+def test_sort_builds_only_the_states_it_reaches():
+    pi = tuple(range(9, 0, -1))
+    tracemalloc.start()
+    try:
+        out = am.permutree_sort(pi, {2, 4, 6, 8}, {3, 5, 7})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.sorted
+    # the whole reachable product has 59,109 states and takes about 36 MB
+    assert peak < 1_000_000
 
 
 def test_product_skeleton_s4():
@@ -249,10 +301,3 @@ def test_coxeter_catalan_counts():
             cnt = sum(1 for pi in wo.all_perms(n) if am.coxeter_sort(pi, c)[1])
             assert cnt == catalan
 
-
-def test_exports():
-    aut = am.build_single("U", 2, 3)
-    data = aut.to_json()
-    json.dumps(data)
-    assert data["initial"] == repr(("healthy", 2))
-    assert set(data["states"].values()) <= {"healthy", "ill", "dead"}

@@ -54,6 +54,15 @@ def test_permutree_sort(capsys):
     assert data["sorted"] is False and data["residual"] == "1243"
 
 
+def test_permutree_sort_needs_no_cap(capsys):
+    # P(U, D) for n = 16 has far too many states to build whole; the sort
+    # builds only the states its word reaches
+    pi, U, D = (",".join(map(str, r)) for r in (range(16, 0, -1), range(2, 16, 2), range(3, 16, 2)))
+    code, out, _ = run_cli(capsys, "permutree", "sort", "--pi", pi, "--U", U, "--D", D, "--json")
+    assert code == 0
+    assert json.loads(out)["sorted"] is True
+
+
 def test_permutree_lattice_json(capsys):
     code, out, _ = run_cli(capsys, "permutree", "lattice", "--delta", "nxn", "--json")
     data = json.loads(out)
