@@ -11,6 +11,7 @@ DEFAULT_CAPS = {
     "rotation_lattice_n": 7,
     "s_hasse_total": 10,
     "max_cliques_routes": 256,
+    "cliques": 65_536,
     "generating_tree_n": 7,
     "realize_vertices": 5040,
     "routes": 65536,

@@ -1,14 +1,8 @@
-"""Command-line front end.
-
-Verbs: permutree {count|lattice|insert|sort}, sorder {count|hasse|realize|
-identities}, flows {routes|cliques|kostant|volume}, bicho {build|verify|
-conjectures}, verify {all|<module>}.  Exit status 0 on success, 1 on
-validation and usage errors, 2 on resource-cap refusals.  With --json the
-output is machine-readable and byte-stable; rationals appear as {num, den}
-pairs unless --approx (`sorder realize` only) asks for decimals.
+"""Command-line front end: `permutree-lab <family> <verb> [flags]`, each verb
+taking exactly the flags it reads (`<family> <verb> --help` lists them).  Exit
+status 0 on success, 1 on validation and usage errors, 2 on resource-cap refusals.
+--json output is byte-stable; --approx turns its {num, den} rationals into decimals.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -28,30 +22,15 @@ from .caps import require_cap
 from .errors import ResourceCapError, ValidationError
 
 
-def _emit(data, args):
-    if getattr(args, "json", False):
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        _emit_table(data)
-
-
 def _emit_table(data, indent=""):
-    if isinstance(data, dict):
-        for k in data:
-            v = data[k]
-            if isinstance(v, (dict, list)):
-                print(f"{indent}{k}:")
-                _emit_table(v, indent + "  ")
-            else:
-                print(f"{indent}{k}: {v}")
-    elif isinstance(data, list):
-        for v in data:
-            if isinstance(v, (dict, list)):
-                _emit_table(v, indent + "  ")
-            else:
-                print(f"{indent}{v}")
-    else:
-        print(f"{indent}{data}")
+    labels = [f"{k}: " for k in data] if isinstance(data, dict) else [""] * len(data)
+    for label, v in zip(labels, data.values() if isinstance(data, dict) else data):
+        if isinstance(v, (dict, list)):
+            if label:
+                print(indent + label[:-1])
+            _emit_table(v, indent + "  ")
+        else:
+            print(f"{indent}{label}{v}")
 
 
 def _int_list(flag, text):
@@ -60,10 +39,6 @@ def _int_list(flag, text):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValidationError(f"{flag} {text!r} is not a list of integers") from None
-
-
-def _parse_set(flag, text):
-    return frozenset(_int_list(flag, text)) if text else frozenset()
 
 
 def _parse_pi(text):
@@ -111,13 +86,11 @@ def _attach_negative_values(argv):
     return out
 
 
-def _graph_from_args(args):
-    count = sum(1 for x in (args.s, args.delta, args.graph) if x)
-    if count != 1:
-        raise ValidationError("give exactly one of --s, --delta, --graph")
-    if args.s:
+def _graph(args):
+    """The graph of the one source argparse admitted; '' is a value too."""
+    if args.s is not None:
         return og.build_oru(_int_list("--s", args.s))
-    if args.delta:
+    if args.delta is not None:
         return bi.build_bic(pt.Decoration(args.delta))
     try:
         with open(args.graph) as fh:
@@ -126,189 +99,188 @@ def _graph_from_args(args):
         raise ValidationError(f"cannot read framed graph from {args.graph}: {exc}")
 
 
-def _netflow_from_args(graph, text):
-    if text == "i":
-        return fl.netflow_i(graph)
-    if text == "d":
-        return fl.netflow_d(graph)
-    return _int_list("--netflow", text)
+def _graph_and_netflow(args):
+    graph = _graph(args)
+    named = {"i": fl.netflow_i, "d": fl.netflow_d}.get(args.netflow)
+    return graph, named(graph) if named else _int_list("--netflow", args.netflow)
 
 
-PERMUTREE_NEEDS = {
-    "count": ["delta"],
-    "lattice": ["delta"],
-    "insert": ["pi", "delta"],
-    "sort": ["pi"],
+class _ChecksFailed(Exception):
+    """A request whose own checks failed: its report is printed, then exit status 1."""
+
+
+def permutree_count(args):
+    delta = pt.Decoration(args.delta)
+    if args.n is not None and args.n != delta.n:
+        raise ValidationError(f"--n {args.n} contradicts --delta of size {delta.n}")
+    return {"delta": str(delta), "count": pt.count_permutrees(delta, cap=args.cap)}
+
+
+def permutree_lattice(args):
+    return pt.lattice_to_json(pt.rotation_lattice(pt.Decoration(args.delta), cap=args.cap))
+
+
+def permutree_insert(args):
+    return pt.insert(_parse_pi(args.pi), pt.Decoration(args.delta)).to_json()
+
+
+def permutree_sort(args):
+    U, D = (frozenset(_int_list(f, x) if x else ()) for f, x in (("--U", args.U), ("--D", args.D)))
+    out = am.permutree_sort(_parse_pi(args.pi), U, D)
+    trace = [{"pi": wo.serialize(p), "state": repr(j), "letter": l} for p, j, l in out.trace]
+    return {"pi": args.pi, "U": sorted(U), "D": sorted(D), "word": ",".join(map(str, out.word)),
+            "sorted": out.sorted, "residual": wo.serialize(out.residual), "trace": trace}
+
+
+def sorder_count(args):
+    s = _int_list("--s", args.s)
+    return {"s": list(s), "count": sw.count_s_trees(s)}
+
+
+def sorder_hasse(args):
+    return sw.s_hasse(_int_list("--s", args.s), cap=args.cap).to_json(key=sw.serialize_word)
+
+
+def sorder_realize(args):
+    eps = _parse_eps(args.epsilon) if args.epsilon else None
+    return og.realize(_int_list("--s", args.s), eps, cap=args.cap).to_json(approx=args.approx)
+
+
+def sorder_identities(args):
+    return og.lidskii_identities(_int_list("--s", args.s), cap=args.cap)
+
+
+def flows_routes(args):
+    graph = _graph(args)
+    require_cap("routes", fl.count_routes(graph), args.cap)
+    rs = fl.routes(graph)
+    return {"count": len(rs), "routes": [[str(e) for e in r] for r in rs]}
+
+
+def flows_cliques(args):
+    cls = fl.max_cliques(_graph(args), cap=args.cap)
+    return {"count": len(cls), "cliques": [sorted(" ".join(map(str, r)) for r in cl) for cl in cls]}
+
+
+def flows_kostant(args):
+    graph, a = _graph_and_netflow(args)
+    return {"netflow": list(a), "kostant": fl.kostant(graph, a, cap=args.cap)}
+
+
+def flows_volume(args):
+    graph, a = _graph_and_netflow(args)
+    return {"netflow": list(a), "volume": fl.lidskii_volume(graph, a, cap=args.cap)}
+
+
+def bicho_build(args):
+    return bi.build_bic(pt.Decoration(args.delta)).to_json()
+
+
+def bicho_verify(args):
+    delta = pt.Decoration(args.delta)
+    counts = {"flows": bi.count_d_flows(delta, cap=args.cap)}
+    counts["permutrees"] = pt.count_permutrees(delta)
+    counts["cliques"] = len(fl.max_cliques(bi.build_bic(delta), cap=args.cap))
+    report = {"delta": str(delta), "counts": counts, "ok": len(set(counts.values())) == 1}
+    if not report["ok"]:
+        raise _ChecksFailed(report)
+    return report
+
+
+def bicho_conjectures(args):
+    return bi.check_conjectures(pt.Decoration(args.delta), cap=args.cap)
+
+
+def run_verify(args):
+    """run the verification sweeps"""
+    checks = vf.ALL_CRITERIA if args.target == "all" else vf.MODULE_CHECKS[args.target]
+    results = vf.run(checks, level="full" if args.full else "quick")
+    report = results if args.json else [
+        f"[{'PASS' if r['ok'] else 'FAIL'}] criterion {r['id']}: {r['name']} ({r['detail']})"
+        for r in results
+    ]
+    if not all(r["ok"] for r in results):
+        raise _ChecksFailed(report)
+    return report
+
+
+FLAGS = {  # the argparse keywords of each flag, the same in every verb that reads it
+    "--delta": {"help": "decoration string over n/d/u/x (flows: its bicho graph)"},
+    "--n": {"type": int, "help": "the size of --delta, checked against it"},
+    "--pi": {"help": "permutation (digits, or comma-separated)"},
+    "--U": {"default": "", "help": "comma list of up positions"},
+    "--D": {"default": "", "help": "comma list of down positions"},
+    "--s": {"help": "comma-separated composition (flows: its s-oruga graph)"},
+    "--graph": {"help": "JSON file with a framed graph"},
+    "--epsilon": {"help": "exact rational, e.g. 1/100"},
+    "--approx": {"type": _count, "help": "decimal digits for rationals"},
+    "--netflow": {"default": "i", "help": "'i', 'd', or comma list"},
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--cap": {"type": _count, "help": "raise the size cap the verb checks"},
+}
+
+# family: (help, {verb: (handler, its flags but --json as usage writes them: [optional], one|of)})
+VERBS = {
+    "permutree": ("permutree lattices and sorting", {
+        "count": (permutree_count, "--delta [--n] [--cap]"),
+        "lattice": (permutree_lattice, "--delta [--cap]"),
+        "insert": (permutree_insert, "--pi --delta"),
+        "sort": (permutree_sort, "--pi [--U] [--D]"),
+    }),
+    "sorder": ("the s-weak order and its realization", {
+        "count": (sorder_count, "--s"),
+        "hasse": (sorder_hasse, "--s [--cap]"),
+        "realize": (sorder_realize, "--s [--epsilon] [--approx] [--cap]"),
+        "identities": (sorder_identities, "--s [--cap]"),
+    }),
+    "flows": ("framed graphs, cliques, volumes", {
+        "routes": (flows_routes, "--s|--delta|--graph [--cap]"),
+        "cliques": (flows_cliques, "--s|--delta|--graph [--cap]"),
+        "kostant": (flows_kostant, "--s|--delta|--graph [--netflow] [--cap]"),
+        "volume": (flows_volume, "--s|--delta|--graph [--netflow] [--cap]"),
+    }),
+    "bicho": ("M-moves and permutree recovery", {
+        "build": (bicho_build, "--delta"),
+        "verify": (bicho_verify, "--delta [--cap]"),
+        "conjectures": (bicho_conjectures, "--delta [--cap]"),
+    }),
 }
 
 
-def cmd_permutree(args):
-    missing = [f"--{k}" for k in PERMUTREE_NEEDS[args.verb] if getattr(args, k) is None]
-    if missing:
-        raise ValidationError(f"permutree {args.verb} needs {' and '.join(missing)}")
-    if args.verb == "count":
-        delta = pt.Decoration(args.delta)
-        if args.n is not None and args.n != delta.n:
-            raise ValidationError(f"--n {args.n} contradicts --delta of size {delta.n}")
-        _emit({"delta": str(delta), "count": pt.count_permutrees(delta, cap=args.cap)}, args)
-    elif args.verb == "lattice":
-        lat = pt.rotation_lattice(pt.Decoration(args.delta), cap=args.cap)
-        _emit(pt.lattice_to_json(lat), args)
-    elif args.verb == "insert":
-        tree = pt.insert(_parse_pi(args.pi), pt.Decoration(args.delta))
-        _emit(tree.to_json(), args)
-    elif args.verb == "sort":
-        U, D = _parse_set("--U", args.U), _parse_set("--D", args.D)
-        out = am.permutree_sort(_parse_pi(args.pi), U, D)
-        _emit(
-            {
-                "pi": args.pi,
-                "U": sorted(U),
-                "D": sorted(D),
-                "word": ",".join(str(l) for l in out.word),
-                "sorted": out.sorted,
-                "residual": wo.serialize(out.residual),
-                "trace": [
-                    {"pi": wo.serialize(p), "state": repr(j), "letter": l}
-                    for p, j, l in out.trace
-                ],
-            },
-            args,
-        )
-
-
-def cmd_sorder(args):
-    s = _int_list("--s", args.s)
-    if args.verb == "count":
-        _emit({"s": list(s), "count": sw.count_s_trees(s)}, args)
-    elif args.verb == "hasse":
-        H = sw.s_hasse(s, cap=args.cap)
-        _emit(H.to_json(key=sw.serialize_word), args)
-    elif args.verb == "realize":
-        eps = _parse_eps(args.epsilon) if args.epsilon else None
-        real = og.realize(s, eps, cap=args.cap)
-        _emit(real.to_json(approx=args.approx), args)
-    elif args.verb == "identities":
-        _emit(og.lidskii_identities(s, cap=args.cap), args)
-
-
-def cmd_flows(args):
-    graph = _graph_from_args(args)
-    if args.verb == "routes":
-        require_cap("routes", fl.count_routes(graph), args.cap)
-        rs = fl.routes(graph)
-        _emit({"count": len(rs), "routes": [[str(e) for e in r] for r in rs]}, args)
-    elif args.verb == "cliques":
-        cls = fl.max_cliques(graph, cap=args.cap)
-        _emit(
-            {
-                "count": len(cls),
-                "cliques": [sorted(" ".join(map(str, r)) for r in cl) for cl in cls],
-            },
-            args,
-        )
-    elif args.verb == "kostant":
-        a = _netflow_from_args(graph, args.netflow)
-        _emit({"netflow": list(a), "kostant": fl.kostant(graph, a, cap=args.cap)}, args)
-    elif args.verb == "volume":
-        a = _netflow_from_args(graph, args.netflow)
-        _emit({"netflow": list(a), "volume": fl.lidskii_volume(graph, a, cap=args.cap)}, args)
-
-
-def cmd_bicho(args):
-    delta = pt.Decoration(args.delta)
-    if args.verb == "build":
-        _emit(bi.build_bic(delta).to_json(), args)
-    elif args.verb == "verify":
-        graph = bi.build_bic(delta)
-        counts = {
-            "flows": bi.count_d_flows(delta, cap=args.cap),
-            "permutrees": pt.count_permutrees(delta),
-            "cliques": len(fl.max_cliques(graph, cap=args.cap)),
-        }
-        ok = counts["flows"] == counts["permutrees"] == counts["cliques"]
-        _emit({"delta": str(delta), "counts": counts, "ok": ok}, args)
-        if not ok:
-            sys.exit(1)
-    elif args.verb == "conjectures":
-        _emit(bi.check_conjectures(delta, cap=args.cap), args)
-
-
-def cmd_verify(args):
-    if args.target == "all":
-        checks = vf.ALL_CRITERIA
-    else:
-        checks = vf.MODULE_CHECKS.get(args.target)
-        if checks is None:
-            raise ValidationError(
-                f"unknown module {args.target!r}; pick from "
-                f"{sorted(vf.MODULE_CHECKS)} or 'all'"
-            )
-    level = "full" if args.full else "quick"
-    results = vf.run(checks, level=level)
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            mark = "PASS" if r["ok"] else "FAIL"
-            print(f"[{mark}] criterion {r['id']}: {r['name']} ({r['detail']})")
-    if not all(r["ok"] for r in results):
-        sys.exit(1)
+def _refuse(status, message):
+    """The one-line rule: `message` on one stderr line, its line breaks escaped, then `status`."""
+    breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # each one str.splitlines breaks at
+    print(message.translate({ord(c): repr(c)[1:-1] for c in breaks}), file=sys.stderr)
+    sys.exit(status)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors follow the one-line rule: one stderr line, exit status 1."""
+    def error(self, message):  # a usage error: one line, exit status 1
+        _refuse(1, f"invalid input: {message}")
 
-    def error(self, message):
-        self.exit(1, f"invalid input: {message}\n")
+
+def _add_flags(parser, spec):
+    for token in spec.split():
+        names = token.strip("[]").split("|")
+        group = parser.add_mutually_exclusive_group(required=True) if len(names) > 1 else parser
+        for name in names:
+            group.add_argument(name, required=token == name, **FLAGS[name])
 
 
 def build_parser():
     p = _Parser(prog="permutree-lab", description=__doc__)
-    sub = p.add_subparsers(dest="family", required=True)
-
-    def common(sp):
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--cap", type=_count, default=None, help="override size caps")
-
-    tree = sub.add_parser("permutree", help="permutree lattices and sorting")
-    tree.add_argument("verb", choices=["count", "lattice", "insert", "sort"])
-    tree.add_argument("--delta", help="decoration string over n/d/u/x")
-    tree.add_argument("--n", type=int, default=None)
-    tree.add_argument("--pi", help="permutation (digits, or comma-separated)")
-    tree.add_argument("--U", default="", help="comma list of up positions")
-    tree.add_argument("--D", default="", help="comma list of down positions")
-    common(tree)
-    tree.set_defaults(func=cmd_permutree)
-
-    sord = sub.add_parser("sorder", help="the s-weak order and its realization")
-    sord.add_argument("verb", choices=["count", "hasse", "realize", "identities"])
-    sord.add_argument("--s", required=True, help="comma-separated composition")
-    sord.add_argument("--epsilon", default=None, help="exact rational, e.g. 1/100")
-    sord.add_argument("--approx", type=_count, default=None, help="decimal digits for rationals")
-    common(sord)
-    sord.set_defaults(func=cmd_sorder)
-
-    flow = sub.add_parser("flows", help="framed graphs, cliques, volumes")
-    flow.add_argument("verb", choices=["routes", "cliques", "kostant", "volume"])
-    flow.add_argument("--s", default=None, help="use the s-oruga graph")
-    flow.add_argument("--delta", default=None, help="use the bicho graph")
-    flow.add_argument("--graph", default=None, help="JSON file with a framed graph")
-    flow.add_argument("--netflow", default="i", help="'i', 'd', or comma list")
-    common(flow)
-    flow.set_defaults(func=cmd_flows)
-
-    bic = sub.add_parser("bicho", help="M-moves and permutree recovery")
-    bic.add_argument("verb", choices=["build", "verify", "conjectures"])
-    bic.add_argument("--delta", required=True)
-    common(bic)
-    bic.set_defaults(func=cmd_bicho)
-
-    ver = sub.add_parser("verify", help="run the verification sweeps")
-    ver.add_argument("target", help="'all' or a module name")
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (about, verbs) in VERBS.items():
+        sub = families.add_parser(family, help=about).add_subparsers(dest="verb", required=True)
+        for verb, (handler, spec) in verbs.items():
+            sp = sub.add_parser(verb)
+            _add_flags(sp, f"{spec} [--json]")
+            sp.set_defaults(func=handler)
+    ver = families.add_parser("verify", help=run_verify.__doc__)
+    ver.add_argument("target", choices=["all", *vf.MODULE_CHECKS])
     ver.add_argument("--full", action="store_true", help="desk-scale quantifiers")
-    ver.add_argument("--json", action="store_true")
-    ver.set_defaults(func=cmd_verify)
+    _add_flags(ver, "[--json]")
+    ver.set_defaults(func=run_verify)
     return p
 
 
@@ -316,17 +288,20 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_values(argv))
     try:
-        args.func(args)
+        report, status = args.func(args), 0
+    except _ChecksFailed as exc:
+        report, status = exc.args[0], 1
     except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except ValidationError as exc:
-        detail = f" (witness: {exc.witness})" if exc.witness else ""
-        print(f"invalid input: {exc}{detail}", file=sys.stderr)
-        sys.exit(1)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        sys.exit(1)
+        _refuse(2, f"resource cap: {exc}")
+    except ValueError as exc:  # a ValidationError may name its witness
+        witness = getattr(exc, "witness", None)
+        _refuse(1, f"invalid input: {exc}" + (f" (witness: {witness})" if witness else ""))
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        _emit_table(report)
+    if status:
+        sys.exit(status)
     return 0
 
 

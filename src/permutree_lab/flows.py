@@ -285,13 +285,16 @@ def max_cliques(graph, cap=None):
     ordered by the sorted `str`s of their routes.
 
     Refuses a graph with an edge on no route, whose cliques are smaller;
-    every output is checked to have |E| - |V| + 2 routes.
+    every output is checked to have |E| - |V| + 2 routes.  The cap `cliques`
+    is checked before the search on K_G(netflow d), the normalized volume of
+    the flow polytope, which counts the maximal cliques of every framing.
     """
     require_cap("max_cliques_routes", count_routes(graph), cap)
     rs = routes(graph)
     stranded = sorted(set(graph.edges).difference(*rs), key=str)
     if stranded:
         raise ValidationError(f"max_cliques needs every edge on a route, not {stranded[0]!r}")
+    require_cap("cliques", kostant(graph, netflow_d(graph)), cap)
     idx = range(len(rs))
     adj = {i: set() for i in idx}
     for i, j in combinations(idx, 2):
@@ -369,7 +372,8 @@ def integer_flows(graph, a):
 
 
 def kostant(graph, a, cap=None) -> int:
-    """Number of integer a-flows, by a layered DP over pending supplies: at
+    """Number of integer a-flows, by a layered DP over the supplies still
+    pending (v's own is 0 once spread, so such states merge): at
     vertex v each need is split over v's distinct heads once, with
     `dominance_compositions`, for all states that share it, x units over m
     parallel edges counting comb(x + m - 1, m - 1) ways.  `kostant_states`
@@ -388,6 +392,7 @@ def kostant(graph, a, cap=None) -> int:
                 weight = prod(comb(x + m - 1, m - 1) for (_, m), x in zip(heads, split))
                 for supply, ways in group:
                     sup = list(supply)
+                    sup[v] = 0  # spent, so states that differ only here merge
                     for (h, _), x in zip(heads, split):
                         sup[h] += x
                     key = tuple(sup)

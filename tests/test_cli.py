@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,11 @@ def test_exit_codes(capsys, tmp_path):
         ("sorder", "realize", "--s", "1,2,1", "--epsilon", "1/0"),
         ("flows", "routes", "--graph", str(bad_graph)),
         ("flows", "routes", "--graph", str(bad_framing)),
+        ("flows", "routes", "--delta", ""),  # a source given empty is still the one source
+        # a line break inside an argument is escaped, so the refusal stays one line
+        ("sorder", "count", "--s", "1", "x\ny"),
+        ("flows", "routes", "--graph", "no\nsuch.json"),
+        ("sorder", "realize", "--s", "1,2", "--epsilon", "\x85"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -192,19 +198,13 @@ def test_exit_codes(capsys, tmp_path):
         ("permutree_count_sections", ("permutree", "count", "--delta", "n" + "dnnn" * 8 + "n")),
         ("conjecture_terms", ("bicho", "conjectures", "--delta", "n" * 15 + "d" + "n" * 5)),
         ("lidskii_terms", ("sorder", "identities", "--s", ",".join("1" * 15))),
+        # 742,900 and 477,638,700 cliques from 188 routes at most, counted by the Kostant DP
+        ("cliques", ("bicho", "verify", "--delta", "n" + "d" * 11 + "n")),
+        ("cliques", ("flows", "cliques", "--delta", "n" + "d" * 16 + "n")),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and f"resource cap: {cap}:" in err, argv
-    many_d = "n" + "d" * 11 + "n"  # refused within a layer of the Kostant DP
-    for argv in [
-        ("flows", "kostant", "--delta", many_d, "--netflow", "d"),
-        ("bicho", "verify", "--delta", many_d),
-        ("bicho", "conjectures", "--delta", many_d),
-    ]:
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert len(err.splitlines()) == 1 and "resource cap: kostant_states:" in err, argv
     for argv in [  # usage errors: exit 1 like any bad input, not the cap status 2
         (),
         ("bogus",),
@@ -250,8 +250,9 @@ def test_cap_flag_overrides(capsys):
         (("sorder", "identities", "--s", "1,2,2"), "lidskii_terms", 2, "equal", True),
         (
             ("flows", "kostant", "--delta", "nddddn", "--netflow", "d"),
-            "kostant_states", 42, "kostant", 132,
+            "kostant_states", 5, "kostant", 132,
         ),
+        (("flows", "cliques", "--s", "1,1,1,1"), "cliques", 24, "count", 24),  # from 16 routes
     ]:
         code, _, err = run_cli(capsys, *argv, "--cap", str(size - 1))
         assert code == 2 and f"{cap}: requested size {size} exceeds cap {size - 1}" in err, argv
@@ -336,15 +337,22 @@ def test_routes_of_a_graph_with_a_stranded_path(capsys, tmp_path):
     assert err.splitlines() == ["invalid input: max_cliques needs every edge on a route, not 't1'"]
 
 
-def test_bicho_verbs_pass_their_cap_to_the_kostant_dp(capsys):
-    for argv, size in [
-        (("verify", "--delta", "nuuununxuxxnxdndddudxdnudnudnxxundd", "--cap", "4"), 5),
-        (("conjectures", "--delta", "nuuuun", "--cap", "16"), 17),  # 16 conjecture terms
-    ]:
-        code, out, err = run_cli(capsys, "bicho", *argv)
-        assert (code, out) == (2, ""), argv
-        assert len(err.splitlines()) == 1, argv
-        assert f"kostant_states: requested size {size} exceeds cap {argv[-1]} " in err, argv
+def test_bicho_verbs_pass_their_cap_to_the_kostant_dp(capsys, monkeypatch):
+    argv = ("verify", "--delta", "nuuununxuxxnxdndddudxdnudnudnxxundd", "--cap", "4")
+    code, out, err = run_cli(capsys, "bicho", *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "resource cap: kostant_states: requested size 5 exceeds cap 4 "
+        "(raise it with --cap or cap=)"
+    ]
+    # the largest Kostant layer of `conjectures` is 5 states, so spy on the cap it is given;
+    # with n = 8 the report counts no cliques, whose bound would be a Kostant call too
+    caps, kostant = [], fl.kostant
+    monkeypatch.setattr(fl, "kostant", lambda g, a, cap=None: caps.append(cap) or kostant(g, a, cap))
+    argv = ("conjectures", "--delta", "nuuuuuun", "--cap", "24", "--json")
+    code, out, _ = run_cli(capsys, "bicho", *argv)
+    assert code == 0 and json.loads(out)["conjecture_2"] == "PASS"  # 24 conjecture terms
+    assert caps and set(caps) == {24}
 
 
 def test_kostant_cap_is_checked_within_one_spread(capsys):
@@ -357,6 +365,85 @@ def test_kostant_cap_is_checked_within_one_spread(capsys):
         "resource cap: kostant_states: requested size 100001 exceeds cap 100000 "
         "(raise it with --cap or cap=)"
     ]
+
+
+# each verb's flags: the grammar the CLI's table must build, written out apart from it
+READS = {
+    ("permutree", "count"): {"--delta", "--n", "--json", "--cap"},
+    ("permutree", "lattice"): {"--delta", "--json", "--cap"},
+    ("permutree", "insert"): {"--pi", "--delta", "--json"},
+    ("permutree", "sort"): {"--pi", "--U", "--D", "--json"},
+    ("sorder", "count"): {"--s", "--json"},
+    ("sorder", "hasse"): {"--s", "--json", "--cap"},
+    ("sorder", "realize"): {"--s", "--epsilon", "--approx", "--json", "--cap"},
+    ("sorder", "identities"): {"--s", "--json", "--cap"},
+    ("flows", "routes"): {"--s", "--delta", "--graph", "--json", "--cap"},
+    ("flows", "cliques"): {"--s", "--delta", "--graph", "--json", "--cap"},
+    ("flows", "kostant"): {"--s", "--delta", "--graph", "--netflow", "--json", "--cap"},
+    ("flows", "volume"): {"--s", "--delta", "--graph", "--netflow", "--json", "--cap"},
+    ("bicho", "build"): {"--delta", "--json"},
+    ("bicho", "verify"): {"--delta", "--json", "--cap"},
+    ("bicho", "conjectures"): {"--delta", "--json", "--cap"},
+    ("verify", "all"): {"--full", "--json"},
+}
+
+
+@pytest.mark.parametrize("request_", sorted(READS), ids=" ".join)
+def test_help_lists_exactly_the_flags_a_verb_reads(capsys, request_):
+    code, out, _ = run_cli(capsys, *request_, "--help")
+    assert code == 0
+    assert set(re.findall(r"^  (?:-h, )?(--\w+)", out, re.M)) == READS[request_] | {"--help"}
+
+
+# (request that answers, a flag its family knows but the verb does not read, a value)
+FOREIGN_FLAGS = [
+    (("permutree", "count", "--delta", "nddn"), "--pi", "12"),
+    (("permutree", "count", "--delta", "nddn"), "--U", "2"),
+    (("permutree", "count", "--delta", "nddn"), "--D", "2"),
+    (("permutree", "lattice", "--delta", "nnn"), "--n", "3"),
+    (("permutree", "lattice", "--delta", "nnn"), "--pi", "123"),
+    (("permutree", "lattice", "--delta", "nnn"), "--U", "2"),
+    (("permutree", "lattice", "--delta", "nnn"), "--D", "2"),
+    (("permutree", "insert", "--pi", "123", "--delta", "nnn"), "--n", "3"),
+    (("permutree", "insert", "--pi", "123", "--delta", "nnn"), "--U", "9"),
+    (("permutree", "insert", "--pi", "123", "--delta", "nnn"), "--D", "2"),
+    (("permutree", "insert", "--pi", "123", "--delta", "nnn"), "--cap", "0"),
+    (("permutree", "sort", "--pi", "321"), "--delta", "nnn"),
+    (("permutree", "sort", "--pi", "321"), "--n", "3"),
+    (("permutree", "sort", "--pi", "321"), "--cap", "5"),
+    (("sorder", "count", "--s", "1,2"), "--epsilon", "0"),
+    (("sorder", "count", "--s", "1,2"), "--approx", "3"),
+    (("sorder", "count", "--s", "1,2"), "--cap", "5"),
+    (("sorder", "hasse", "--s", "1,2"), "--epsilon", "1/2"),
+    (("sorder", "hasse", "--s", "1,2"), "--approx", "3"),
+    (("sorder", "identities", "--s", "1,0,1"), "--epsilon", "1/2"),
+    (("sorder", "identities", "--s", "1,0,1"), "--approx", "3"),
+    (("flows", "routes", "--s", "1,2,1"), "--netflow", "zzz"),
+    (("flows", "cliques", "--s", "1,2,1"), "--netflow", "d"),
+    (("bicho", "build", "--delta", "nxdn"), "--cap", "5"),
+]
+
+
+def test_foreign_flags_cover_every_pair_the_grammar_drops():
+    family_flags = {family: set(flags) | {"--cap"} for family, (_, _, flags) in _GRAMMAR.items()}
+    family_flags["flows"] |= {"--s", "--delta", "--graph"}
+    dropped = {
+        (family, verb, flag)
+        for (family, verb), reads in READS.items() if family != "verify"
+        for flag in family_flags[family] - reads
+    }
+    assert {(*argv[:2], flag) for argv, flag, _ in FOREIGN_FLAGS} == dropped
+    assert len(dropped) == 24
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value", FOREIGN_FLAGS, ids=[f"{a[0]} {a[1]} {f}" for a, f, _ in FOREIGN_FLAGS]
+)
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(capsys, argv, flag, value):
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"invalid input: unrecognized arguments: {flag} {value}"]
 
 
 def test_verify_quick(capsys):
@@ -422,7 +509,7 @@ _VALUES = {
         ["perfbench/data/graph_nxdn.json", "perfbench/data/graph_list_id.json", "missing.json"]
     ),
 }
-_GRAMMAR = {  # family: verbs, graph sources, further flags
+_GRAMMAR = {  # family: verbs, graph sources, further flags of any of its verbs
     "permutree": (
         ["count", "lattice", "insert", "sort"], [], ["--delta", "--n", "--pi", "--U", "--D"]
     ),
@@ -440,8 +527,11 @@ _GRAMMAR = {  # family: verbs, graph sources, further flags
 def _argv(draw):
     family = draw(st.sampled_from(sorted(_GRAMMAR)))
     verbs, sources, flags = _GRAMMAR[family]
-    argv = [family, draw(st.sampled_from(verbs * 3 + ["frob"]))]
-    picked = [flag for flag in flags if draw(st.sampled_from([True, True, False]))]
+    verb = draw(st.sampled_from(verbs * 3 + ["frob"]))
+    argv, reads = [family, verb], READS.get((family, verb), set())
+    # a flag the verb reads mostly, one it does not (a usage error) now and then
+    odds = {True: [True, True, False], False: [True] + [False] * 5}
+    picked = [flag for flag in flags if draw(st.sampled_from(odds[flag in reads]))]
     if sources:  # mostly one, else none, two or a repeated one
         picked += draw(st.sampled_from([1, 1, 1, 0, 2]).flatmap(
             lambda k: st.lists(st.sampled_from(sources), min_size=k, max_size=k)
@@ -452,7 +542,10 @@ def _argv(draw):
             argv.append(draw(_VALUES[flag]))
     if draw(st.booleans()):
         argv.append("--json")
-    return argv + ["--cap", str(draw(st.integers(0, 6)))]
+    # a small cap keeps every capped verb quick; the others take it as a foreign flag now and then
+    if "--cap" in reads or family == "verify" or draw(st.sampled_from([True, False, False, False])):
+        argv += ["--cap", str(draw(st.integers(0, 6)))]
+    return argv
 
 
 @settings(max_examples=1000, deadline=None)

@@ -274,6 +274,22 @@ def test_kostant_dp_equals_enumeration(G):
             assert fl.kostant(graph, a) == len(fl.integer_flows(graph, a))
 
 
+def test_kostant_merges_states_that_differ_only_at_spent_vertices():
+    """n + 14 'd' + n has Catalan(16) d-flows.  With each spent supply zeroed
+    no layer holds more than 15 states; keyed by every supply, the layers of
+    n + 11 'd' + n alone grew past the default 100,000."""
+    graph = bi.build_bic(pt.Decoration("n" + "d" * 14 + "n"))
+    tracemalloc.start()
+    try:
+        count = fl.kostant(graph, fl.netflow_d(graph), cap=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 35_357_670 and peak < 1_000_000
+    with pytest.raises(ResourceCapError, match="kostant_states: requested size 15 exceeds cap 14"):
+        fl.kostant(graph, fl.netflow_d(graph), cap=14)
+
+
 def test_non_integral_netflow_is_refused(G):
     for call, a in [
         (fl.kostant, (1.9, 0, 0, -1.9)),
@@ -409,6 +425,19 @@ def small_oruga_graphs(most=6):
 def small_decorations(most=5):
     """Every decoration with 2 <= n <= most (its ends are 'n')."""
     return ["n" + "".join(mid) + "n" for k in range(most - 1) for mid in product(pt.SYMBOLS, repeat=k)]
+
+
+def test_kostant_of_netflow_d_counts_the_max_cliques(G):
+    """The count the `cliques` cap reads: K_G(netflow d) is the normalized
+    volume of the flow polytope, so every framing has that many cliques."""
+    graphs = [G, bang_graph()] + [graph for _, graph in small_oruga_graphs(5)]
+    graphs += [bi.build_bic(pt.Decoration(d)) for d in small_decorations(5)]
+    for graph in graphs:
+        assert fl.kostant(graph, fl.netflow_d(graph)) == len(fl.max_cliques(graph))
+    graph = og.build_oru((1, 1, 1, 1))  # 16 routes, 24 cliques
+    with pytest.raises(ResourceCapError, match="cliques: requested size 24 exceeds cap 23"):
+        fl.max_cliques(graph, cap=23)
+    assert len(fl.max_cliques(graph, cap=24)) == 24
 
 
 def test_max_cliques_are_ordered_by_route_strs():
