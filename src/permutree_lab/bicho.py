@@ -309,7 +309,7 @@ def check_conjectures(delta, cap=None) -> dict:
     the swap instances are reported as witnesses).  Results are reported,
     never asserted as theorems.  The (root, J) terms of the inner sums,
     #d * 2^#n per sum, are checked against the cap `conjecture_terms` first;
-    `cap` raises it and the `kostant_states` of every flow count alike.
+    `cap` goes on to every flow, permutree and clique count.
     """
     delta = as_decoration(delta)
     nd = set(delta.symbols) <= {"n", "d"}
@@ -323,12 +323,12 @@ def check_conjectures(delta, cap=None) -> dict:
         "delta": str(delta),
         "counts": {
             "flows": lhs,
-            "permutrees": count_permutrees(delta),
+            "permutrees": count_permutrees(delta, cap),
             "cliques": None,
         },
     }
     if delta.n <= 6:
-        report["counts"]["cliques"] = len(fl.max_cliques(build_bic(delta)))
+        report["counts"]["cliques"] = len(fl.max_cliques(build_bic(delta), cap))
     if nd:
         rhs = _inner_sum(delta.symbols, memo, cap)
         report["conjecture_1"] = "PASS" if rhs == lhs else "FAIL"

@@ -1,19 +1,19 @@
 """Size caps for the enumerative operations.
 
-Defaults are desk-scale; each counts its own unit, and an explicit ``cap=``
-argument (``--cap`` on the command line) raises the one cap a call uses.
+Each cap counts its own unit and is checked before the enumeration it
+bounds.  An explicit ``cap=N`` (``--cap N`` on the command line) raises
+every cap the call reaches to at least N and never lowers one.
 """
 
 from .errors import ResourceCapError
 
 DEFAULT_CAPS = {
-    "reduced_words_n": 8,
+    "reduced_words": 300_000,
     "rotation_lattice_n": 7,
-    "s_hasse_total": 10,
+    "s_trees": 40_320,
     "max_cliques_routes": 256,
     "cliques": 65_536,
     "generating_tree_n": 7,
-    "realize_vertices": 5040,
     "routes": 65536,
     "lidskii_terms": 1_000_000,
     "permutree_count_sections": 10_000,
@@ -23,8 +23,8 @@ DEFAULT_CAPS = {
 
 
 def cap_for(name, override=None):
-    """The cap in force: the explicit override, else the default."""
-    return DEFAULT_CAPS[name] if override is None else int(override)
+    """The cap in force: the default, raised to the override if that is larger."""
+    return max(DEFAULT_CAPS[name], override or 0)
 
 
 def require_cap(name, value, override=None):

@@ -179,7 +179,7 @@ def bicho_build(args):
 def bicho_verify(args):
     delta = pt.Decoration(args.delta)
     counts = {"flows": bi.count_d_flows(delta, cap=args.cap)}
-    counts["permutrees"] = pt.count_permutrees(delta)
+    counts["permutrees"] = pt.count_permutrees(delta, cap=args.cap)
     counts["cliques"] = len(fl.max_cliques(bi.build_bic(delta), cap=args.cap))
     report = {"delta": str(delta), "counts": counts, "ok": len(set(counts.values())) == 1}
     if not report["ok"]:
@@ -216,7 +216,7 @@ FLAGS = {  # the argparse keywords of each flag, the same in every verb that rea
     "--approx": {"type": _count, "help": "decimal digits for rationals"},
     "--netflow": {"default": "i", "help": "'i', 'd', or comma list"},
     "--json": {"action": "store_true", "help": "machine-readable output"},
-    "--cap": {"type": _count, "help": "raise the size cap the verb checks"},
+    "--cap": {"type": _count, "help": "raise every size cap the verb checks to at least this"},
 }
 
 # family: (help, {verb: (handler, its flags but --json as usage writes them: [optional], one|of)})

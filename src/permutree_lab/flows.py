@@ -294,7 +294,7 @@ def max_cliques(graph, cap=None):
     stranded = sorted(set(graph.edges).difference(*rs), key=str)
     if stranded:
         raise ValidationError(f"max_cliques needs every edge on a route, not {stranded[0]!r}")
-    require_cap("cliques", kostant(graph, netflow_d(graph)), cap)
+    require_cap("cliques", kostant(graph, netflow_d(graph), cap), cap)
     idx = range(len(rs))
     adj = {i: set() for i in idx}
     for i, j in combinations(idx, 2):
@@ -446,21 +446,34 @@ def lidskii_volume(graph, a, cap=None) -> int:
     """Normalized volume of the flow polytope by the first Lidskii formula.
 
     Sums multinomial(m - n; j) * prod a_i^{j_i} * K_G(j - o, 0) over weak
-    compositions j of m - n dominating the shifted outdegrees o; the number
-    of terms is checked against the cap `lidskii_terms` before the sum.
+    compositions j of m - n dominating the shifted outdegrees o.  A term with
+    a_k = 0 < j_k is 0, so only the j that vanish off the support S of
+    a_0..a_{n-1} are summed, as compositions over S; their number is checked
+    against the cap `lidskii_terms` before the sum.
     """
     a = check_netflow(graph, a)
     n, m = graph.n, len(graph.edges)
     if any(x < 0 for x in a[:-1]):
         raise ValidationError("Lidskii needs a_0..a_{n-1} >= 0")
     o = [d - 1 for d in graph.outdegrees()[:n]]
-    require_cap("lidskii_terms", count_dominance_compositions(m - n, n, o), cap)
+    support = [k for k in range(n) if a[k]]
+    floors = list(accumulate(o[: n - 1]))  # j_0 + ... + j_k >= floors[k]
+    # a partial sum of j holds from one support position to the next (0 before
+    # the first), so it must clear the largest floor on the way
+    cuts = [0, *support, n - 1]
+    need = [max(floors[lo:hi], default=0) for lo, hi in zip(cuts, cuts[1:])]
+    if need[0] > 0 or need[-1] > m - n:
+        return 0  # no term at all
+    mins = [y - x for x, y in zip([0, *need[1:-1]], need[1:-1])]
+    require_cap("lidskii_terms", count_dominance_compositions(m - n, len(support), mins), cap)
     total = 0
-    for j in dominance_compositions(m - n, n, o):
-        term = prod(map(pow, a, j))  # 0 ** 0 == 1: only a_k = 0 < j_k gives 0
-        if term:
-            coeff = factorial(m - n) // prod(map(factorial, j))
-            total += coeff * term * kostant(graph, (*(k - d for k, d in zip(j, o)), 0))
+    for parts in dominance_compositions(m - n, len(support), mins):
+        shifted = [-d for d in o]  # j - o, with j scattered onto the support
+        for k, x in zip(support, parts):
+            shifted[k] += x
+        coeff = factorial(m - n) // prod(map(factorial, parts))
+        term = prod(a[k] ** x for k, x in zip(support, parts))
+        total += coeff * term * kostant(graph, (*shifted, 0), cap)
     return total
 
 

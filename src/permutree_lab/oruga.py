@@ -185,7 +185,7 @@ def face_simplex(w, A, s):
     return frozenset(r for i, r in enumerate(prefix_routes(w, s)) if i not in cut_lengths)
 
 
-def hasse_from_adjacency(s, cap=None) -> Hasse:
+def hasse_from_adjacency(s) -> Hasse:
     """Dual graph of the triangulation, oriented by the conflict rule.
 
     Nodes are the maximal cliques; two cliques are adjacent when they share
@@ -298,10 +298,11 @@ def realize(s, eps=None, cap=None) -> Realization:
     """Exact vertex/edge data of the s-permutahedron for an admissible eps.
 
     Refuses inadmissible heights, naming a violated minimal conflict.  For
-    eps = p/q every check runs on heights scaled by q^n to ints.
+    eps = p/q every check runs on heights scaled by q^n to ints.  The
+    count_s_trees(s) vertices are checked against the cap `s_trees` first.
     """
     s = check_composition(s, strict=True)
-    require_cap("realize_vertices", count_s_trees(s), cap)
+    require_cap("s_trees", count_s_trees(s), cap)
     eps = default_epsilon(s) if eps is None else Fraction(eps)
     scales = _scales(len(s), eps)  # scales[0] = q^n
     graph = build_oru(s)

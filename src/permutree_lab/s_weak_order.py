@@ -37,10 +37,13 @@ def count_s_trees(s) -> int:
     >>> count_s_trees((1, 2, 2))
     15
     """
-    s = check_composition(s)
-    n = len(s)
+    return _count_s_trees(check_composition(s))
+
+
+def _count_s_trees(s) -> int:
+    """`count_s_trees` on a checked s."""
     total, tail = 1, 0
-    for i in range(n - 1, 0, -1):
+    for i in range(len(s) - 1, 0, -1):
         tail += s[i]
         total *= 1 + tail
     return total
@@ -440,9 +443,10 @@ def add_ascents_fixpoint(w, A, s) -> Word:
 
 
 def s_hasse(s, cap=None) -> Hasse:
-    """Hasse diagram of the s-weak order via ascent transpositions."""
+    """Hasse diagram of the s-weak order via ascent transpositions; its
+    count_s_trees(s) elements are checked against the cap `s_trees` first."""
     s = check_composition(s, strict=True)
-    require_cap("s_hasse_total", sum(s), cap)
+    require_cap("s_trees", _count_s_trees(s), cap)
     return hasse_by_bfs(
         sorted_word(s), lambda w: [transpose_ascent(w, pair, s) for pair in ascents(w)]
     )

@@ -245,11 +245,25 @@ def reduced_words(pi, cap=None):
     """All reduced words of pi, as tuples of generator indices, found on the
     position tuple pi^{-1}: l is a left descent iff pos[l-1] > pos[l].
 
+    The words are counted first, layer by layer over the prefixes' lengths,
+    with the number of prefixes reaching each position tuple.  That number
+    only grows and ends at the word count, so the cap `reduced_words` is
+    checked on each layer's total and a refusal names the first total past it.
+
     >>> sorted(reduced_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
     """
     pi = check_perm(pi)
-    require_cap("reduced_words_n", len(pi), cap)
+    layer = {inverse(pi): 1}
+    while layer:  # the last layer holds the identity alone, reached by every word
+        require_cap("reduced_words", sum(layer.values()), cap)
+        nxt = {}
+        for pos, ways in layer.items():
+            for l in range(1, len(pos)):
+                if pos[l - 1] > pos[l]:
+                    key = right_mult(pos, l)
+                    nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
     done = identity(len(pi))
 
     @lru_cache(maxsize=None)

@@ -1,15 +1,20 @@
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutree_lab import cli
+import permutree_lab
+from permutree_lab import caps, cli
 from permutree_lab import flows as fl
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,11 +195,12 @@ def test_exit_codes(capsys, tmp_path):
         assert (code, out) == (1, ""), (flag, bad)
         assert len(err.splitlines()) == 1 and f"{flag} {bad!r}" in err, (flag, bad)
     for cap, argv in [  # refused from a count, before any enumeration
-        ("realize_vertices", ("sorder", "realize", "--s", "2,2,2,2,2,2,2")),
+        ("s_trees", ("sorder", "realize", "--s", "2,2,2,2,2,2,2")),
         ("routes", ("flows", "routes", "--delta", "n" * 25)),
         ("max_cliques_routes", ("flows", "cliques", "--s", ",".join("1" * 9))),
         ("max_cliques_routes", ("flows", "cliques", "--delta", "n" * 25)),
-        ("lidskii_terms", ("flows", "volume", "--delta", "n" * 16)),
+        # a netflow with full support: each of the 35,357,670 terms can be nonzero
+        ("lidskii_terms", ("flows", "volume", "--delta", "n" * 16, "--netflow", "1," * 16 + "-16")),
         ("permutree_count_sections", ("permutree", "count", "--delta", "n" + "dnnn" * 8 + "n")),
         ("conjecture_terms", ("bicho", "conjectures", "--delta", "n" * 15 + "d" + "n" * 5)),
         ("lidskii_terms", ("sorder", "identities", "--s", ",".join("1" * 15))),
@@ -223,41 +229,66 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 0 and out.startswith("usage:")
 
 
-def test_cap_flag_overrides(capsys):
-    code, _, err = run_cli(capsys, "permutree", "lattice", "--delta", "nnnn", "--cap", "3")
-    assert code == 2
-    assert "rotation_lattice_n" in err and "size 4" in err and "--cap" in err
-    code, out, _ = run_cli(
-        capsys, "permutree", "lattice", "--delta", "nnnn", "--cap", "4", "--json"
-    )
-    assert code == 0
-    assert len(json.loads(out)["nodes"]) == 24
-    code, _, err = run_cli(capsys, "sorder", "realize", "--s", "1,2", "--cap", "2")
-    assert code == 2 and "realize_vertices: requested size 3 exceeds cap 2" in err
-    code, out, _ = run_cli(capsys, "sorder", "realize", "--s", "1,2", "--cap", "3", "--json")
-    assert code == 0 and len(json.loads(out)["vertices"]) == 3
-    code, _, err = run_cli(capsys, "flows", "routes", "--s", "1,2,1", "--cap", "9")
-    assert code == 2 and "routes: requested size 10 exceeds cap 9" in err
-    code, out, _ = run_cli(capsys, "flows", "routes", "--s", "1,2,1", "--cap", "10", "--json")
-    assert code == 0 and json.loads(out)["count"] == 10
-    code, _, err = run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--cap", "13")
-    assert code == 2 and "lidskii_terms: requested size 14 exceeds cap 13" in err
-    code, out, _ = run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--cap", "14", "--json")
-    assert code == 0 and out == run_cli(capsys, "flows", "volume", "--s", "1,2,2", "--json")[1]
-    for argv, cap, size, key, value in [
-        (("permutree", "count", "--delta", "nddn"), "permutree_count_sections", 13, "count", 14),
-        (("bicho", "conjectures", "--delta", "nddn"), "conjecture_terms", 16, "conjecture_2", "PASS"),
-        (("sorder", "identities", "--s", "1,2,2"), "lidskii_terms", 2, "equal", True),
-        (
-            ("flows", "kostant", "--delta", "nddddn", "--netflow", "d"),
-            "kostant_states", 5, "kostant", 132,
-        ),
-        (("flows", "cliques", "--s", "1,1,1,1"), "cliques", 24, "count", 24),  # from 16 routes
-    ]:
-        code, _, err = run_cli(capsys, *argv, "--cap", str(size - 1))
-        assert code == 2 and f"{cap}: requested size {size} exceeds cap {size - 1}" in err, argv
-        code, out, _ = run_cli(capsys, *argv, "--cap", str(size), "--json")
-        assert code == 0 and json.loads(out)[key] == value, argv
+def _field(out, key):
+    """A field of a JSON answer, a list or an object by its length."""
+    value = json.loads(out)[key]
+    return len(value) if isinstance(value, (list, dict)) else value
+
+
+# (request, the cap it checks, the size it needs, a field of its answer, that field)
+CAP_REQUESTS = [
+    (("permutree", "lattice", "--delta", "nnnn"), "rotation_lattice_n", 4, "nodes", 24),
+    (("sorder", "realize", "--s", "1,2"), "s_trees", 3, "vertices", 3),
+    (("sorder", "hasse", "--s", "6,6"), "s_trees", 7, "nodes", 7),
+    (("flows", "routes", "--s", "1,2,1"), "routes", 10, "count", 10),
+    # a netflow with full support, so no Lidskii term is 0 for want of it
+    (("flows", "volume", "--s", "1,2,2", "--netflow", "1,1,1,1,-4"), "lidskii_terms", 14, "volume", 860),
+    (("permutree", "count", "--delta", "nddn"), "permutree_count_sections", 13, "count", 14),
+    (("bicho", "conjectures", "--delta", "nddn"), "conjecture_terms", 16, "conjecture_2", "PASS"),
+    (("sorder", "identities", "--s", "1,2,2"), "lidskii_terms", 2, "equal", True),
+    (("flows", "kostant", "--delta", "nddddn", "--netflow", "d"), "kostant_states", 5, "kostant", 132),
+    (("flows", "cliques", "--s", "1,1,1,1"), "cliques", 24, "count", 24),  # from 16 routes
+]
+
+
+def test_cap_flag_overrides(capsys, monkeypatch):
+    """With a cap's default one below what a request needs, the request is
+    refused; `--cap` at the size admits it, and a smaller `--cap` leaves the
+    default in force: an override only raises."""
+    for argv, cap, size, key, value in CAP_REQUESTS:
+        with monkeypatch.context() as m:
+            m.setitem(caps.DEFAULT_CAPS, cap, size - 1)
+            for more in ((), ("--cap", "1")):
+                code, _, err = run_cli(capsys, *argv, *more)
+                assert code == 2, argv
+                assert err.splitlines() == [
+                    f"resource cap: {cap}: requested size {size} exceeds cap {size - 1} "
+                    "(raise it with --cap or cap=)"
+                ], argv
+            code, out, _ = run_cli(capsys, *argv, "--cap", str(size), "--json")
+        assert code == 0 and _field(out, key) == value, argv
+
+
+def test_cap_flag_never_lowers_a_cap(capsys):
+    """The defaults admit 16 routes and 24 cliques; `--cap 16` keeps both."""
+    code, out, _ = run_cli(capsys, "flows", "cliques", "--s", "1,1,1,1", "--cap", "16", "--json")
+    assert code == 0 and json.loads(out)["count"] == 24
+    for argv, _, _, key, value in CAP_REQUESTS:
+        code, out, _ = run_cli(capsys, *argv, "--cap", "0", "--json")
+        assert code == 0 and _field(out, key) == value, argv
+
+
+def test_s_trees_cap_counts_the_elements(capsys):
+    """|s| = 10 with 10! elements is refused at once (and `--s 6,6`, |s| = 12
+    with 7 elements, is built: see `CAP_REQUESTS`)."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sorder", "hasse", "--s", ",".join("1" * 10))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "resource cap: s_trees: requested size 3628800 exceeds cap 40320 "
+        "(raise it with --cap or cap=)"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -338,21 +369,87 @@ def test_routes_of_a_graph_with_a_stranded_path(capsys, tmp_path):
 
 
 def test_bicho_verbs_pass_their_cap_to_the_kostant_dp(capsys, monkeypatch):
-    argv = ("verify", "--delta", "nuuununxuxxnxdndddudxdnudnudnxxundd", "--cap", "4")
-    code, out, err = run_cli(capsys, "bicho", *argv)
+    delta = "nuuununxuxxnxdndddudxdnudnudnxxundd"  # its flows' Kostant layers grow to 8 states
+    monkeypatch.setitem(caps.DEFAULT_CAPS, "kostant_states", 4)
+    code, out, err = run_cli(capsys, "bicho", "verify", "--delta", delta)
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         "resource cap: kostant_states: requested size 5 exceeds cap 4 "
         "(raise it with --cap or cap=)"
     ]
-    # the largest Kostant layer of `conjectures` is 5 states, so spy on the cap it is given;
-    # with n = 8 the report counts no cliques, whose bound would be a Kostant call too
-    caps, kostant = [], fl.kostant
-    monkeypatch.setattr(fl, "kostant", lambda g, a, cap=None: caps.append(cap) or kostant(g, a, cap))
-    argv = ("conjectures", "--delta", "nuuuuuun", "--cap", "24", "--json")
-    code, out, _ = run_cli(capsys, "bicho", *argv)
-    assert code == 0 and json.loads(out)["conjecture_2"] == "PASS"  # 24 conjecture terms
-    assert caps and set(caps) == {24}
+    # --cap 8 admits the flow count, and the verb goes on to the cliques' 293
+    # routes, which a cap of 8 does not lower below the default 256
+    code, out, err = run_cli(capsys, "bicho", "verify", "--delta", delta, "--cap", "8")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "resource cap: max_cliques_routes: requested size 293 exceeds cap 256 "
+        "(raise it with --cap or cap=)"
+    ]
+    # `conjectures` on n + 6 'u' + n: 24 (root, J) terms, each flow count's layers at most 5 states
+    monkeypatch.setitem(caps.DEFAULT_CAPS, "conjecture_terms", 23)
+    argv = ("conjectures", "--delta", "nuuuuuun", "--json")
+    code, out, err = run_cli(capsys, "bicho", *argv)
+    assert (code, out) == (2, "")
+    assert "conjecture_terms: requested size 24 exceeds cap 23" in err
+    code, out, _ = run_cli(capsys, "bicho", *argv, "--cap", "24")
+    assert code == 0 and json.loads(out)["conjecture_2"] == "PASS"
+
+
+def _spy_on_caps(monkeypatch):
+    """Wrap every library function that takes a cap, and the two cap checks,
+    in every module that binds it; returns the (name, cap given) list they fill."""
+    seen = []
+
+    def spy(fn, param):
+        sig = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            seen.append((fn.__name__, sig.bind(*args, **kwargs).arguments.get(param)))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for info in pkgutil.iter_modules(permutree_lab.__path__):
+        module = importlib.import_module(f"permutree_lab.{info.name}")
+        for name, fn in list(vars(module).items()):
+            if not inspect.isfunction(fn) or not fn.__module__.startswith("permutree_lab."):
+                continue
+            params = inspect.signature(fn).parameters
+            param = "cap" if "cap" in params else "override" if "override" in params else None
+            if param:
+                monkeypatch.setattr(module, name, spy(fn, param))
+    return seen
+
+
+def test_every_capped_verb_hands_its_cap_to_every_capped_call(capsys, monkeypatch):
+    """Given `--cap N`, a verb hands N to each library call that takes a cap
+    and to each cap check it reaches, so N raises every cap of the request."""
+    seen = _spy_on_caps(monkeypatch)
+    big = str(10**9 + 7)
+    for argv, want in [
+        (("permutree", "count", "--delta", "nddn"), {"count_permutrees"}),
+        (("permutree", "lattice", "--delta", "nnnn"), {"rotation_lattice"}),
+        (("sorder", "hasse", "--s", "1,2,1"), {"s_hasse"}),
+        (("sorder", "realize", "--s", "1,2,1"), {"realize"}),
+        (("sorder", "identities", "--s", "1,2,2"), {"lidskii_identities"}),
+        (("flows", "routes", "--s", "1,2,1"), {"require_cap"}),
+        (("flows", "cliques", "--s", "1,2,1"), {"max_cliques", "kostant"}),
+        (("flows", "kostant", "--s", "1,2,1", "--netflow", "d"), {"kostant"}),
+        (("flows", "volume", "--s", "1,2,2"), {"lidskii_volume", "kostant"}),
+        (
+            ("bicho", "verify", "--delta", "nxdn"),
+            {"count_d_flows", "kostant", "count_permutrees", "max_cliques"},
+        ),
+        (
+            ("bicho", "conjectures", "--delta", "nddn"),
+            {"check_conjectures", "count_d_flows", "kostant", "count_permutrees", "max_cliques"},
+        ),
+    ]:
+        seen.clear()
+        code, _, err = run_cli(capsys, *argv, "--cap", big, "--json")
+        assert (code, err) == (0, ""), argv
+        assert want <= {name for name, _ in seen}, argv
+        assert {cap for _, cap in seen} == {int(big)}, argv
 
 
 def test_kostant_cap_is_checked_within_one_spread(capsys):

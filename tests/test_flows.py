@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from permutree_lab import bicho as bi
+from permutree_lab import caps
 from permutree_lab import flows as fl
 from permutree_lab import oruga as og
 from permutree_lab import permutree as pt
@@ -274,11 +275,12 @@ def test_kostant_dp_equals_enumeration(G):
             assert fl.kostant(graph, a) == len(fl.integer_flows(graph, a))
 
 
-def test_kostant_merges_states_that_differ_only_at_spent_vertices():
+def test_kostant_merges_states_that_differ_only_at_spent_vertices(monkeypatch):
     """n + 14 'd' + n has Catalan(16) d-flows.  With each spent supply zeroed
     no layer holds more than 15 states; keyed by every supply, the layers of
     n + 11 'd' + n alone grew past the default 100,000."""
     graph = bi.build_bic(pt.Decoration("n" + "d" * 14 + "n"))
+    monkeypatch.setitem(caps.DEFAULT_CAPS, "kostant_states", 14)
     tracemalloc.start()
     try:
         count = fl.kostant(graph, fl.netflow_d(graph), cap=15)
@@ -287,7 +289,7 @@ def test_kostant_merges_states_that_differ_only_at_spent_vertices():
         tracemalloc.stop()
     assert count == 35_357_670 and peak < 1_000_000
     with pytest.raises(ResourceCapError, match="kostant_states: requested size 15 exceeds cap 14"):
-        fl.kostant(graph, fl.netflow_d(graph), cap=14)
+        fl.kostant(graph, fl.netflow_d(graph))
 
 
 def test_non_integral_netflow_is_refused(G):
@@ -375,16 +377,56 @@ def test_dominance_compositions_edge_cases():
     assert next(iter(fl.dominance_compositions(10**6, 6, (0,) * 6))) == (0,) * 5 + (10**6,)
 
 
-def test_lidskii_terms_cap():
-    graph = bi.build_bic(pt.Decoration("n" * 6))  # 132 terms, a Catalan number
-    a = fl.netflow_i(graph)
-    refusal = "lidskii_terms: requested size 132 exceeds cap 131"
-    with pytest.raises(ResourceCapError, match=refusal):
-        fl.lidskii_volume(graph, a, cap=131)
-    assert fl.lidskii_volume(graph, a, cap=132) == fl.kostant(graph, fl.netflow_d(graph))
+def test_lidskii_terms_cap(monkeypatch):
+    graph = bi.build_bic(pt.Decoration("n" * 6))
+    # the netflow i leaves one term, j = (m - n, 0, ..., 0), of the 132 that
+    # dominate the shifted outdegrees; the volume is K_G(netflow d)
+    assert fl.lidskii_volume(graph, fl.netflow_i(graph)) == fl.kostant(graph, fl.netflow_d(graph))
+    a = (1,) * 6 + (-6,)  # a full support: all 132 terms, a Catalan number
+    monkeypatch.setitem(caps.DEFAULT_CAPS, "lidskii_terms", 131)
+    with pytest.raises(ResourceCapError, match="lidskii_terms: requested size 132 exceeds cap 131"):
+        fl.lidskii_volume(graph, a)
+    assert fl.lidskii_volume(graph, a, cap=132) == 518_400
+    monkeypatch.undo()
     big = bi.build_bic(pt.Decoration("n" * 16))
     with pytest.raises(ResourceCapError, match="requested size 35357670 exceeds cap 1000000"):
-        fl.lidskii_volume(big, fl.netflow_i(big))
+        fl.lidskii_volume(big, (1,) * 16 + (-16,))
+    graph = bi.build_bic(pt.Decoration("n" * 13))  # one term of 742,900 with the netflow i
+    terms, kostant = [], fl.kostant
+    monkeypatch.setattr(fl, "kostant", lambda g, a, cap=None: terms.append(a) or kostant(g, a, cap))
+    assert fl.lidskii_volume(graph, fl.netflow_i(graph)) == 6_227_020_800
+    assert len(terms) == 1
+
+
+def _lidskii_full_sum(graph, a):
+    """The first Lidskii formula summed over every j that dominates the
+    shifted outdegrees, zero terms included: the oracle of `lidskii_volume`."""
+    n, m = graph.n, len(graph.edges)
+    o = [d - 1 for d in graph.outdegrees()[:n]]
+    return sum(
+        math.factorial(m - n) // math.prod(map(math.factorial, j)) * math.prod(map(pow, a, j))
+        * fl.kostant(graph, (*(k - d for k, d in zip(j, o)), 0))
+        for j in fl.dominance_compositions(m - n, n, o)
+    )
+
+
+def test_lidskii_volume_sums_over_the_support_of_the_netflow(G):
+    """Every netflow with entries 0..2 on small graphs, among them one whose
+    vertex 1 has no out-edge, so its shifted outdegree is -1."""
+    stub = fl.FramedGraph(
+        3,
+        {"a": (0, 1), "b": (0, 2), "c": (0, 2), "d": (2, 3), "e": (0, 3)},
+        {1: {"in": ["a"], "out": []}, 2: {"in": ["b", "c"], "out": ["d"]}},
+    )
+    graphs = [G, stub] + [og.build_oru(s) for s in [(1, 2, 1), (2, 1), (1, 1, 1), (1, 2, 2)]]
+    graphs += [bi.build_bic(pt.Decoration(d)) for d in ["nnn", "nxdn", "nddn", "nuxdn", "nnnnn"]]
+    checked = 0
+    for graph in graphs:
+        for head in product(range(3), repeat=graph.n):
+            a = (*head, -sum(head))
+            assert fl.lidskii_volume(graph, a) == _lidskii_full_sum(graph, a), a
+            checked += 1
+    assert checked == 999
 
 
 def test_omega_bijection(G):
@@ -427,7 +469,7 @@ def small_decorations(most=5):
     return ["n" + "".join(mid) + "n" for k in range(most - 1) for mid in product(pt.SYMBOLS, repeat=k)]
 
 
-def test_kostant_of_netflow_d_counts_the_max_cliques(G):
+def test_kostant_of_netflow_d_counts_the_max_cliques(G, monkeypatch):
     """The count the `cliques` cap reads: K_G(netflow d) is the normalized
     volume of the flow polytope, so every framing has that many cliques."""
     graphs = [G, bang_graph()] + [graph for _, graph in small_oruga_graphs(5)]
@@ -435,8 +477,9 @@ def test_kostant_of_netflow_d_counts_the_max_cliques(G):
     for graph in graphs:
         assert fl.kostant(graph, fl.netflow_d(graph)) == len(fl.max_cliques(graph))
     graph = og.build_oru((1, 1, 1, 1))  # 16 routes, 24 cliques
+    monkeypatch.setitem(caps.DEFAULT_CAPS, "cliques", 23)
     with pytest.raises(ResourceCapError, match="cliques: requested size 24 exceeds cap 23"):
-        fl.max_cliques(graph, cap=23)
+        fl.max_cliques(graph)
     assert len(fl.max_cliques(graph, cap=24)) == 24
 
 

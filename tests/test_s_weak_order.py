@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutree_lab import caps
 from permutree_lab import oruga as og
 from permutree_lab import s_weak_order as sw
 from permutree_lab import verify
@@ -505,15 +506,22 @@ def test_s_lattice_ok_refuses_a_missing_sibling_join(monkeypatch):
     assert not verify._s_lattice_ok(cut, s, Counter())
 
 
-def test_hasse_counts_and_bounds():
+def test_hasse_counts_and_bounds(monkeypatch):
     H = sw.s_hasse((1, 2, 2))
     assert len(H) == 15 and H.is_lattice()
     H = sw.s_hasse((1, 2, 1))
     assert len(H) == 8 and H.is_lattice()
     assert H.minimum() == sw.sorted_word((1, 2, 1))
     assert H.maximum() == sw.reverse_sorted_word((1, 2, 1))
-    with pytest.raises(ResourceCapError):
+    # the cap `s_trees` counts the elements: |s| = 12 gives 7, |s| = 10 gives 10!
+    monkeypatch.setitem(caps.DEFAULT_CAPS, "s_trees", 6)
+    with pytest.raises(ResourceCapError, match="s_trees: requested size 7 exceeds cap 6"):
         sw.s_hasse((6, 6))
+    assert len(sw.s_hasse((6, 6), cap=7)) == 7
+    monkeypatch.undo()
+    assert len(sw.s_hasse((6, 6))) == 7
+    with pytest.raises(ResourceCapError, match="s_trees: requested size 3628800 exceeds cap 40320"):
+        sw.s_hasse((1,) * 10)
 
 
 def test_covers_are_transpositions():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from permutree_lab.caps import DEFAULT_CAPS
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "permutree_lab"
 
@@ -146,6 +148,59 @@ def test_public_names_are_used():
             unnamed.add(f"{path.stem}.{fn.name}")
     assert unnamed <= UNNAMED_ALLOWED, sorted(unnamed - UNNAMED_ALLOWED)
     assert unnamed == UNNAMED_ALLOWED, f"named now, drop: {sorted(UNNAMED_ALLOWED - unnamed)}"
+
+
+def _callee(call):
+    """The name a call is made by: `f` in `f(...)` and in `mod.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _capped_functions():
+    """(module file name, function node) for every function with a `cap` parameter."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        out += [
+            (path.name, fn)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and "cap" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+        ]
+    return out
+
+
+def test_every_cap_parameter_is_read_and_passed_on():
+    """A function that takes `cap` reads it, and hands it to every cap check
+    and every call of a function that takes `cap`.  Caps only rise, so one
+    `cap=N` then means that every cap the call reaches is at least N."""
+    capped = _capped_functions()
+    takers = {fn.name for _, fn in capped} | {"require_cap", "cap_for"}
+    unread, dropped = [], []
+    for name, fn in capped:
+        nodes = list(ast.walk(fn))
+        if not any(isinstance(n, ast.Name) and n.id == "cap" and isinstance(n.ctx, ast.Load) for n in nodes):
+            unread.append(f"{name}:{fn.name}")
+        for call in nodes:
+            if isinstance(call, ast.Call) and _callee(call) in takers:
+                given = [*call.args, *(k.value for k in call.keywords)]
+                if not any(isinstance(a, ast.Name) and a.id == "cap" for a in given):
+                    dropped.append(f"{name}:{call.lineno} {_callee(call)}")
+    assert (unread, dropped) == ([], [])
+
+
+def test_checked_cap_names_are_the_default_caps():
+    """Every cap a `require_cap` or `cap_for` names has a default, and every
+    default is checked somewhere, so a merged or renamed cap leaves no orphan."""
+    named = set()
+    for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "caps.py"}):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _callee(call) in ("require_cap", "cap_for"):
+                first = call.args[0]
+                assert isinstance(first, ast.Constant), f"{path.name}:{call.lineno}"
+                named.add(first.value)
+    assert named == set(DEFAULT_CAPS)
 
 
 def test_doctests():

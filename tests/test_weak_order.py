@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutree_lab import caps
 from permutree_lab import weak_order as wo
 from permutree_lab.errors import ResourceCapError, ValidationError
 
@@ -215,10 +216,16 @@ def test_evaluate_word_refuses_a_letter_out_of_range(word, n):
         wo.evaluate_word(word, n)
 
 
-def test_reduced_words_cap():
-    with pytest.raises(ResourceCapError):
-        wo.reduced_words(tuple(range(1, 10)))
-    assert wo.reduced_words(tuple(range(1, 10)), cap=9) == {()}
+def test_reduced_words_cap(monkeypatch):
+    """The cap counts words, not n: the identity of S_9 has one, and w0 of
+    S_7 has 1,100,742,656, refused on the first prefix count past the cap."""
+    assert wo.reduced_words(tuple(range(1, 10))) == {()}
+    with pytest.raises(ResourceCapError, match="reduced_words: requested size 521272 exceeds cap 300000"):
+        wo.reduced_words(wo.longest(7))
+    monkeypatch.setitem(caps.DEFAULT_CAPS, "reduced_words", 767)
+    with pytest.raises(ResourceCapError, match="reduced_words: requested size 768 exceeds cap 767"):
+        wo.reduced_words(wo.longest(5))
+    assert len(wo.reduced_words(wo.longest(5), cap=768)) == 768
 
 
 def test_fixed_pattern_avoidance():
