@@ -296,10 +296,16 @@ def main(argv=None):
     except ValueError as exc:  # a ValidationError may name its witness
         witness = getattr(exc, "witness", None)
         _refuse(1, f"invalid input: {exc}" + (f" (witness: {witness})" if witness else ""))
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _emit_table(report)
+    # an exact count prints whole, past 4,300 digits; the flags were parsed under the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            _emit_table(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
     if status:
         sys.exit(status)
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 from . import flows as fl
 from .caps import require_cap
@@ -347,17 +348,9 @@ def realize(s, eps=None, cap=None) -> Realization:
 
 
 def _gbinom(m, k) -> int:
-    """Generalized binomial C(m, k) for integer m (possibly negative), k >= 0."""
-    num = 1
-    for i in range(k):
-        num *= m - i
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    q, r = divmod(num, den)
-    if r != 0:
-        raise AssertionError(f"C({m}, {k}) is not an integer")
-    return q
+    """Generalized binomial C(m, k) for integer m (possibly negative), k >= 0:
+    C(m, k) = (-1)^k C(k - m - 1, k) when m < 0."""
+    return comb(m, k) if m >= 0 else (-1) ** k * comb(k - m - 1, k)
 
 
 def _multiset_binom(m, k) -> int:

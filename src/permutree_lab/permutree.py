@@ -292,28 +292,19 @@ def children_first(tree):
 
 
 def linear_extensions(tree):
-    """The fiber of the insertion map: all topological orders, children first."""
-    n = tree.n
-    parents_of = [[p for p in ps if p is not None] for ps in tree.parents]
-    pending = [len(cs) - cs.count(None) for cs in tree.children]
-    out = []
-
-    def rec(avail, placed):
-        if len(placed) == n:
-            out.append(tuple(placed))
-            return
-        for v in avail:
-            nxt = [w for w in avail if w != v]
-            for p in parents_of[v - 1]:
-                pending[p - 1] -= 1
-                if pending[p - 1] == 0:
-                    nxt.append(p)
-            rec(sorted(nxt), placed + [v])
-            for p in parents_of[v - 1]:
-                pending[p - 1] += 1
-
-    rec([v for v in range(1, n + 1) if not pending[v - 1]], [])
-    return out
+    """The fiber of the insertion map: all topological orders, children
+    first, in lexicographic order.  Each layer extends every order by each
+    node whose children are all placed, in increasing order."""
+    below = [sum(1 << c for c in cs if c is not None) for cs in tree.children]
+    layer = [((), 0)]  # an order and the mask of its nodes
+    for _ in range(tree.n):
+        layer = [
+            (order + (v,), placed | 1 << v)
+            for order, placed in layer
+            for v in range(1, tree.n + 1)
+            if not placed >> v & 1 and below[v - 1] & ~placed == 0
+        ]
+    return [order for order, _ in layer]
 
 
 def _tree_from_pairs(pairs, delta) -> Permutree:
@@ -390,8 +381,8 @@ def count_permutrees(delta, cap=None) -> int:
     """Number of delta-permutrees.
 
     Updown positions cut the count into independent sections and each up may
-    be flipped to a down without changing it; inside a section the recursion
-    strips the topmost node (a chain of 'n' roots, then a 'd' root splitting
+    be flipped to a down without changing it; inside a section the count
+    strips the topmost node (an 'n' root of a run, or a 'd' root splitting
     by labels).  The memo is bounded against the cap
     `permutree_count_sections` before the count starts.
     """
@@ -439,18 +430,25 @@ def updown_sections(delta):
 
 
 def _count_section(sec, memo) -> int:
-    """Permutrees of one {n, d} section; `memo` is shared within one count."""
-    if len(sec) <= 1:
-        return 1
-    if sec not in memo:
-        total = 0
-        for r, sym in enumerate(sec):
-            if sym == "d":
-                total += _count_section(sec[:r], memo) * _count_section(sec[r + 1 :], memo)
-            else:
-                total += _count_section(sec[:r] + sec[r + 1 :], memo)
-        memo[sec] = total
-    return memo[sec]
+    """Permutrees of one {n, d} section, by its topmost node: one of the 'n'
+    roots of a run, each run counted once times its length, or a 'd' root
+    splitting the section in two.  The count depends on the run lengths
+    alone, so `memo`, shared within one count, is keyed by them; it is
+    filled bottom-up, over ranges of runs by width, each range's lengths in
+    product order, so that every sub-section is counted first."""
+    runs = tuple(map(len, "".join(sec).split("d")))
+    for width in range(1, len(runs) + 1):
+        for i in range(len(runs) - width + 1):
+            for key in product(*(range(g + 1) for g in runs[i : i + width])):
+                if sum(key) + width - 1 <= 1:
+                    memo[key] = 1
+                    continue
+                roots_n = sum(
+                    g * memo[key[:r] + (g - 1,) + key[r + 1 :]] for r, g in enumerate(key) if g
+                )
+                roots_d = sum(memo[key[:r]] * memo[key[r:]] for r in range(1, width))
+                memo[key] = roots_n + roots_d
+    return memo[runs]
 
 
 def insertion_fibers(delta):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 from . import automata as am
@@ -60,16 +60,14 @@ def _criterion(cid, name):
 
 
 def _strict_compositions(max_total, min_total=1):
-    out = []
-
-    def rec(acc, left):
-        if acc:
-            out.append(tuple(acc))
-        for v in range(1, left + 1):
-            rec(acc + [v], left - v)
-
-    rec([], max_total)
-    return sorted(c for c in out if min_total <= sum(c) <= max_total)
+    """Every strict composition with total in min_total..max_total, sorted; a
+    composition of t is cut at a subset of 1..t-1."""
+    return sorted(
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, t)))
+        for t in range(min_total, max_total + 1)
+        for r in range(t)
+        for cuts in combinations(range(1, t), r)
+    )
 
 
 @_criterion(1, "permutree counts n=4")
@@ -143,22 +141,15 @@ def criterion_3(level):
 def _bracket_vectors(n):
     """Independent oracle: the classical characterization of bracket vectors,
     0 <= b_i <= n-i with the nesting b_j <= (i + b_i) - j for i < j <= i + b_i."""
-    out = set()
-
-    def grow(prefix, i):
-        if i == n:
-            b = tuple(prefix)
-            for x in range(1, n):
-                for j in range(x + 1, min(x + b[x - 1], n - 1) + 1):
-                    if j + b[j - 1] > x + b[x - 1]:
-                        return
-            out.add(b)
-            return
-        for l in range(0, n - i + 1):
-            grow(prefix + [l], i + 1)
-
-    grow([], 1)
-    return out
+    return {
+        b
+        for b in product(*(range(n - i + 1) for i in range(1, n)))
+        if all(
+            j + b[j - 1] <= x + b[x - 1]
+            for x in range(1, n)
+            for j in range(x + 1, min(x + b[x - 1], n - 1) + 1)
+        )
+    }
 
 
 @_criterion(4, "automata vs patterns")
@@ -213,19 +204,13 @@ def criterion_4(level):
 
 
 def _disjoint_pairs(n):
-    out = []
-    slots = list(range(2, n))
-    for assign in range(3 ** len(slots)):
-        U, D = set(), set()
-        a = assign
-        for j in slots:
-            a, r = divmod(a, 3)
-            if r == 1:
-                U.add(j)
-            elif r == 2:
-                D.add(j)
-        out.append((frozenset(U), frozenset(D)))
-    return out
+    """Every (U, D) of disjoint subsets of 2..n-1: each slot is in neither,
+    in U or in D, with slot 2 the fastest-changing digit."""
+    slots = range(n - 1, 1, -1)  # `product` changes its last digit fastest
+    return [
+        tuple(frozenset(j for j, r in zip(slots, digits) if r == side) for side in (1, 2))
+        for digits in product(range(3), repeat=len(slots))
+    ]
 
 
 @_criterion(5, "permutree sorting")

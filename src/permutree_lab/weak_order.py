@@ -13,7 +13,6 @@ the pairs, runs a row kernel and decodes.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations as _permutations
 
 from .caps import require_cap
@@ -245,41 +244,30 @@ def reduced_words(pi, cap=None):
     """All reduced words of pi, as tuples of generator indices, found on the
     position tuple pi^{-1}: l is a left descent iff pos[l-1] > pos[l].
 
-    The words are counted first, layer by layer over the prefixes' lengths,
-    with the number of prefixes reaching each position tuple.  That number
-    only grows and ends at the word count, so the cap `reduced_words` is
-    checked on each layer's total and a refusal names the first total past it.
+    The words grow one letter per layer, each layer holding the prefixes
+    that reach each position tuple.  A layer's size, the prefixes of the
+    layer before times their descents, is checked against the cap
+    `reduced_words` before the layer is built.  The sizes only grow and end
+    at the word count, so a refusal names the first size past the cap, once
+    the layers below it are built.
 
     >>> sorted(reduced_words((3, 2, 1)))
     [(1, 2, 1), (2, 1, 2)]
     """
     pi = check_perm(pi)
-    layer = {inverse(pi): 1}
-    while layer:  # the last layer holds the identity alone, reached by every word
-        require_cap("reduced_words", sum(layer.values()), cap)
+    layer, size = {inverse(pi): [()]}, 1
+    while True:
+        require_cap("reduced_words", size, cap)
+        descents = {pos: [l for l in range(1, len(pos)) if pos[l - 1] > pos[l]] for pos in layer}
+        size = sum(len(layer[pos]) * len(ls) for pos, ls in descents.items())
+        if not size:  # the identity alone, reached by every word
+            (words,) = layer.values()
+            return set(words)
         nxt = {}
-        for pos, ways in layer.items():
-            for l in range(1, len(pos)):
-                if pos[l - 1] > pos[l]:
-                    key = right_mult(pos, l)
-                    nxt[key] = nxt.get(key, 0) + ways
+        for pos, ls in descents.items():
+            for l in ls:
+                nxt.setdefault(right_mult(pos, l), []).extend(w + (l,) for w in layer[pos])
         layer = nxt
-    done = identity(len(pi))
-
-    @lru_cache(maxsize=None)
-    def rec(pos):
-        if pos == done:
-            return frozenset({()})
-        out = set()
-        for l in range(1, len(pos)):
-            if pos[l - 1] > pos[l]:
-                for w in rec(right_mult(pos, l)):
-                    out.add((l,) + w)
-        return frozenset(out)
-
-    result = set(rec(inverse(pi)))
-    rec.cache_clear()
-    return result
 
 
 def avoids_fixed_pattern(pi, j, kind) -> bool:

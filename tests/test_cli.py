@@ -4,8 +4,10 @@ import importlib
 import inspect
 import io
 import json
+import math
 import pkgutil
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -289,6 +291,59 @@ def test_s_trees_cap_counts_the_elements(capsys):
         "resource cap: s_trees: requested size 3628800 exceeds cap 40320 "
         "(raise it with --cap or cap=)"
     ]
+
+
+def _decimal(value):
+    """str(value), past Python's 4,300-digit limit on converting an int."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("n", [995, 1500, 9999])
+def test_permutree_count_has_no_depth_limit(capsys, n):
+    """n 'n's need a memo of n + 1 run lengths, admitted up to 9,999 by the
+    default; the count is n!, printed whole even past 4,300 digits."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "permutree", "count", "--delta", "n" * n)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "count: " + _decimal(math.factorial(n))
+
+
+def test_permutree_count_past_the_memo_cap_is_refused(capsys):
+    code, out, err = run_cli(capsys, "permutree", "count", "--delta", "n" * 10_000)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "resource cap: permutree_count_sections: requested size 10001 exceeds cap 10000 "
+        "(raise it with --cap or cap=)"
+    ]
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["table", "json"])
+def test_sorder_count_prints_a_count_past_4300_digits(capsys, json_flag):
+    """2000! has 5,736 digits; the flags are still parsed under Python's limit."""
+    code, out, err = run_cli(capsys, "sorder", "count", "--s", ",".join("1" * 2000), *json_flag)
+    assert (code, err) == (0, "")
+    count = json.loads(out, parse_int=str)["count"] if json_flag else out.splitlines()[-1][7:]
+    assert count == _decimal(math.factorial(2000))
+    code, _, err = run_cli(capsys, "sorder", "count", "--s", "1" * 5000)
+    assert code == 1 and err.startswith("invalid input: --s")
+
+
+def test_bicho_verbs_on_a_long_decoration(capsys):
+    """1,500 'n's: the conjectures report exits 0, and verify counts flows and
+    permutrees, then refuses the cliques, whose routes pass their cap."""
+    code, out, err = run_cli(capsys, "bicho", "conjectures", "--delta", "n" * 1500, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["counts"]["permutrees"] == math.factorial(1500)
+    code, out, err = run_cli(capsys, "bicho", "verify", "--delta", "n" * 1500)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("resource cap: max_cliques_routes: requested size ")
 
 
 @pytest.mark.parametrize(

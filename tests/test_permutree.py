@@ -43,12 +43,12 @@ def test_insert_figure_example():
 
 
 def test_fibers_partition_and_linear_extensions():
-    for n in (3, 4):
+    for n in (3, 4, 5):
         for d in pt.normalized_decorations(n):
             fibers = pt.insertion_fibers(d)
             seen = []
             for tree, perms in fibers.items():
-                assert sorted(pt.linear_extensions(tree)) == sorted(perms)
+                assert pt.linear_extensions(tree) == perms  # both lexicographic
                 seen.extend(perms)
             assert sorted(seen) == wo.all_perms(n)
 
@@ -142,15 +142,31 @@ def test_count_matches_fibers():
     assert pt.count_permutrees(pt.Decoration("n" * 6)) == 720
 
 
+def _count_by_recursion(sec, memo):
+    """Oracle: the recursive count the memo filled bottom-up replaced, one
+    memo entry per sub-section's symbols, every root tried in turn."""
+    if len(sec) <= 1:
+        return 1
+    if sec not in memo:
+        memo[sec] = sum(
+            _count_by_recursion(sec[:r], memo) * _count_by_recursion(sec[r + 1 :], memo)
+            if sym == "d"
+            else _count_by_recursion(sec[:r] + sec[r + 1 :], memo)
+            for r, sym in enumerate(sec)
+        )
+    return memo[sec]
+
+
 def test_count_memo_bound():
-    """The `permutree_count_sections` size bounds the memo the count fills."""
+    """The `permutree_count_sections` size bounds the memo the count fills,
+    and each section's count is the recursive one."""
     seen = 0
     for n in range(1, 10):
         for d in pt.normalized_decorations(n):
             sections = [tuple("d" if c == "u" else c for c in s) for s in pt.updown_sections(d)]
-            memo = {}
+            memo, oracle = {}, {}
             for sec in sections:
-                pt._count_section(sec, memo)
+                assert pt._count_section(sec, memo) == _count_by_recursion(sec, oracle), d
             assert len(memo) <= pt._memo_bound(sections), d
             seen += 1
     assert seen == 21846

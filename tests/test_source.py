@@ -156,6 +156,43 @@ def _callee(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+# functions that call themselves; this list may only shrink.  Each is bounded
+# by n or by a clique's size, and no CLI count at scale reaches it
+RECURSION_ALLOWED = {
+    "automata.lex_min_accepted_word.rec",
+    "cli._emit_table",
+    "flows.integer_flows.rec",
+    "flows.max_cliques.extend",
+    "s_weak_order._graft",
+    "s_weak_order.check_tree.rec",
+    "s_weak_order.tree_to_brackets",
+}
+
+
+def _calls_itself(fn):
+    """Whether `fn` calls itself by name: `f(...)`, or `self.f(...)` in a method."""
+    names = (fn.name, f"self.{fn.name}")
+    return any(isinstance(call, ast.Call) and ast.unparse(call.func) in names for call in ast.walk(fn))
+
+
+def test_recursion_is_frozen():
+    """Every library function that calls itself, nested `def`s included, is
+    on the frozen list above; a count written as layered loops has no depth
+    limit, so none is added."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {tree: path.stem}  # each node's qualified name, parents first
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                names[child] = f"{names[node]}.{child.name}" if named else names[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node):
+                found.add(names[node])
+    assert found <= RECURSION_ALLOWED, sorted(found - RECURSION_ALLOWED)
+    assert found == RECURSION_ALLOWED, f"no longer recursive, drop: {sorted(RECURSION_ALLOWED - found)}"
+
+
 def _capped_functions():
     """(module file name, function node) for every function with a `cap` parameter."""
     out = []

@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -209,6 +211,44 @@ def test_reduced_words():
         assert len(w) == len(wo.inversions((4, 3, 2, 1)))
 
 
+def _reduced_words_by_recursion(pi):
+    """Oracle: the recursive listing the layered one replaced, every word
+    of pi as a first left descent of pi^{-1} followed by a word of the rest."""
+    done = wo.identity(len(pi))
+
+    @lru_cache(maxsize=None)
+    def rec(pos):
+        if pos == done:
+            return frozenset({()})
+        return frozenset(
+            (l,) + w
+            for l in range(1, len(pos))
+            if pos[l - 1] > pos[l]
+            for w in rec(wo.right_mult(pos, l))
+        )
+
+    return set(rec(wo.inverse(pi)))
+
+
+def test_reduced_words_match_the_recursive_listing():
+    for n in range(7):
+        for pi in wo.all_perms(n):
+            assert wo.reduced_words(pi) == _reduced_words_by_recursion(pi), pi
+
+
+def test_reduced_words_memory():
+    """The layers hold one prefix list per position tuple, two layers at a
+    time; the recursive listing peaked at 35 MB on these 48,048 words."""
+    tracemalloc.start()
+    try:
+        words = wo.reduced_words((5, 6, 4, 3, 2, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 48_048
+    assert peak < 20 * 2**20
+
+
 @pytest.mark.parametrize("word, n", [((5,), 3), ((1, 0), 3), ((1, 3, 2), 3), ((1,), 1)])
 def test_evaluate_word_refuses_a_letter_out_of_range(word, n):
     bad = next(a for a in word if not 1 <= a < n)
@@ -218,7 +258,7 @@ def test_evaluate_word_refuses_a_letter_out_of_range(word, n):
 
 def test_reduced_words_cap(monkeypatch):
     """The cap counts words, not n: the identity of S_9 has one, and w0 of
-    S_7 has 1,100,742,656, refused on the first prefix count past the cap."""
+    S_7 has 1,100,742,656, refused on the first layer's size past the cap."""
     assert wo.reduced_words(tuple(range(1, 10))) == {()}
     with pytest.raises(ResourceCapError, match="reduced_words: requested size 521272 exceeds cap 300000"):
         wo.reduced_words(wo.longest(7))
