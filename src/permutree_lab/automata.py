@@ -293,30 +293,33 @@ def lex_min_accepted_word(pi, automaton, priority):
     """Priority-lexicographic minimal reduced word of pi accepted by the automaton.
 
     The search steps the position tuple pi^{-1}, where s_l o pi swaps the
-    entries l-1 and l and l is a left descent iff pos[l-1] > pos[l].
-    Callers check pi.
+    entries l-1 and l and l is a left descent iff pos[l-1] > pos[l].  It
+    goes depth first on an explicit path and files every (pos, state) pair
+    it backs out of.  Callers check pi.
     """
-    failed = set()
     done = identity(len(pi))
-
-    def rec(pos, state):
+    failed = set()
+    word, path = [], [(inverse(pi), automaton.initial, iter(priority))]  # word[k] led into path[k + 1]
+    while path:
+        pos, state, letters = path[-1]
         if pos == done:
-            return ()
-        if (pos, state) in failed:
-            return None
-        for l in priority:
+            return tuple(word)
+        for l in letters:
             if pos[l - 1] < pos[l]:
                 continue
             nxt = automaton.step(state, l)
             if automaton.classify[nxt] == DEAD:
                 continue
-            tail = rec(right_mult(pos, l), nxt)
-            if tail is not None:
-                return (l,) + tail
-        failed.add((pos, state))
-        return None
-
-    return rec(inverse(pi), automaton.initial)
+            after = right_mult(pos, l)
+            if (after, nxt) not in failed:
+                word.append(l)
+                path.append((after, nxt, iter(priority)))
+                break
+        else:
+            failed.add((pos, state))
+            path.pop()
+            del word[-1:]  # the letter into the pair; none at the start
+    return None
 
 
 def generating_tree(n, U, D, priority=None, cap=None):

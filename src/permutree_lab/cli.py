@@ -22,15 +22,20 @@ from .caps import require_cap
 from .errors import ResourceCapError, ValidationError
 
 
-def _emit_table(data, indent=""):
-    labels = [f"{k}: " for k in data] if isinstance(data, dict) else [""] * len(data)
-    for label, v in zip(labels, data.values() if isinstance(data, dict) else data):
-        if isinstance(v, (dict, list)):
-            if label:
-                print(indent + label[:-1])
-            _emit_table(v, indent + "  ")
-        else:
-            print(f"{indent}{label}{v}")
+def _emit_table(report):
+    """Print `report` one scalar a line as `key: value`, each dict or list
+    under its `key:` line and two spaces deeper."""
+    stack = [(-1, "", report)]  # (depth, "key: " or "", value); depth -1 prints no line
+    while stack:
+        depth, label, value = stack.pop()
+        if not isinstance(value, (dict, list)):
+            print(f"{'  ' * depth}{label}{value}")
+            continue
+        if label:
+            print("  " * depth + label[:-1])
+        labels = [f"{k}: " for k in value] if isinstance(value, dict) else [""] * len(value)
+        values = value.values() if isinstance(value, dict) else value
+        stack += reversed([(depth + 1, k, v) for k, v in zip(labels, values)])
 
 
 def _int_list(flag, text):
@@ -267,11 +272,17 @@ def _add_flags(parser, spec):
             group.add_argument(name, required=token == name, **FLAGS[name])
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser of `argv`: every family, with the verbs of the first one
+    `argv` names, the only family argparse then reads."""
+    named = next((token for token in argv if token in VERBS), None)
     p = _Parser(prog="permutree-lab", description=__doc__)
     families = p.add_subparsers(dest="family", required=True)
     for family, (about, verbs) in VERBS.items():
-        sub = families.add_parser(family, help=about).add_subparsers(dest="verb", required=True)
+        fp = families.add_parser(family, help=about)
+        if family != named:
+            continue
+        sub = fp.add_subparsers(dest="verb", required=True)
         for verb, (handler, spec) in verbs.items():
             sp = sub.add_parser(verb)
             _add_flags(sp, f"{spec} [--json]")
@@ -285,8 +296,8 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         report, status = args.func(args), 0
     except _ChecksFailed as exc:

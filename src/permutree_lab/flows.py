@@ -302,18 +302,17 @@ def max_cliques(graph, cap=None):
             adj[i].add(j)
             adj[j].add(i)
     out = []
-
-    def extend(clique, cand, excl):
+    stack = [(frozenset(), set(idx), set())]  # (clique, candidates, excluded)
+    while stack:
+        clique, cand, excl = stack.pop()
         if not cand and not excl:
-            out.append(frozenset(clique))
-            return
+            out.append(clique)
+            continue
         pivot = max(cand | excl, key=lambda u: len(adj[u] & cand))
         for v in sorted(cand - adj[pivot]):
-            extend(clique | {v}, cand & adj[v], excl & adj[v])
+            stack.append((clique | {v}, cand & adj[v], excl & adj[v]))
             cand = cand - {v}
             excl = excl | {v}
-
-    extend(frozenset(), set(idx), set())
     want = graph.dimension() + 1
     for cl in out:
         if len(cl) != want:
@@ -349,26 +348,24 @@ def netflow_d(graph):
 
 
 def integer_flows(graph, a):
-    """All integer a-flows as dicts over the edges: a DFS over the vertices
-    that splits each need over the out-edges (by `str`) with
-    `dominance_compositions`.  Parallel edges stay apart, unlike in `kostant`."""
+    """All integer a-flows as dicts over the edges, grown one vertex at a
+    time: each partial flow splits the vertex's need over its out-edges (by
+    `str`) in every way `dominance_compositions` lists, so the flows come in
+    depth-first order.  Parallel edges stay apart, unlike in `kostant`."""
     a = check_netflow(graph, a)
     out = [[(e, graph.head(e)) for e in sorted(graph.outgoing[v], key=str)] for v in range(graph.n + 1)]
-    flow, flows = {}, []  # each flow sets every edge, vertex by vertex
-
-    def rec(v, supply):
-        if v > graph.n:
-            flows.append(dict(flow))
-            return
-        for split in dominance_compositions(supply[v] + a[v], len(out[v]), (0,) * len(out[v])):
-            supply2 = list(supply)
-            for (e, h), x in zip(out[v], split):
-                flow[e] = x
-                supply2[h] += x
-            rec(v + 1, supply2)
-
-    rec(0, [0] * (graph.n + 1))
-    return flows
+    edges = [e for row in out for e, _ in row]
+    layer = [((), [0] * (graph.n + 1))]  # (the flow on the out-edges of 0..v-1, supplies)
+    for v, row in enumerate(out):
+        nxt = []
+        for values, supply in layer:
+            for split in dominance_compositions(supply[v] + a[v], len(row), (0,) * len(row)):
+                supply2 = list(supply)
+                for (_, h), x in zip(row, split):
+                    supply2[h] += x
+                nxt.append((values + split, supply2))
+        layer = nxt
+    return [dict(zip(edges, values)) for values, _ in layer]
 
 
 def kostant(graph, a, cap=None) -> int:

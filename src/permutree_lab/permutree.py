@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import product
+from math import factorial
 
 from .caps import require_cap
 from .errors import ValidationError
@@ -435,7 +436,10 @@ def _count_section(sec, memo) -> int:
     splitting the section in two.  The count depends on the run lengths
     alone, so `memo`, shared within one count, is keyed by them; it is
     filled bottom-up, over ranges of runs by width, each range's lengths in
-    product order, so that every sub-section is counted first."""
+    product order, so that every sub-section is counted first.  A section
+    with no 'd' is one run, counted as its length's factorial, unmemoized."""
+    if "d" not in sec:
+        return factorial(len(sec))
     runs = tuple(map(len, "".join(sec).split("d")))
     for width in range(1, len(runs) + 1):
         for i in range(len(runs) - width + 1):

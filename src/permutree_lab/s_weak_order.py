@@ -52,38 +52,28 @@ def _count_s_trees(s) -> int:
 # --- s-decreasing trees: node = (label, (child, ...)), leaf = None ----------
 
 
-def tree_nodes(tree):
-    out = []
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if t is None:
-            continue
-        out.append(t[0])
-        stack.extend(t[1])
-    return out
-
-
 def check_tree(tree, s):
+    """`tree`, refused unless its labels are exactly [n], its root is n and
+    node i has s_i + 1 children labeled below i, checked in that order."""
     s = check_composition(s)
     n = len(s)
-    if sorted(tree_nodes(tree)) != list(range(1, n + 1)):
+    nodes = []  # (label, the bound it must not pass, child count), in pre-order
+    stack = [(tree, n)]
+    while stack:
+        t, bound = stack.pop()
+        if t is not None:
+            label, children = t
+            nodes.append((label, bound, len(children)))
+            stack.extend((ch, label - 1) for ch in reversed(children))
+    if sorted(label for label, _, _ in nodes) != list(range(1, n + 1)):
         raise ValidationError("tree labels are not exactly [n]")
-
-    def rec(t, bound):
-        if t is None:
-            return
-        label, children = t
-        if label > bound:
-            raise ValidationError(f"label {label} not decreasing below {bound}")
-        if len(children) != s[label - 1] + 1:
-            raise ValidationError(f"node {label} must have {s[label - 1] + 1} children")
-        for ch in children:
-            rec(ch, label - 1)
-
     if (0 if tree is None else tree[0]) != n:
         raise ValidationError(f"root must be labeled {n}")
-    rec(tree, n)
+    for label, bound, arity in nodes:
+        if label > bound:
+            raise ValidationError(f"label {label} not decreasing below {bound}")
+        if arity != s[label - 1] + 1:
+            raise ValidationError(f"node {label} must have {s[label - 1] + 1} children")
     return tree
 
 
@@ -111,13 +101,6 @@ def word_to_tree(w, s):
     """Inverse of `tree_to_word`."""
     s = check_composition(s, strict=True)
     return bumps_to_tree(word_to_bumps(w, s), s)
-
-
-def tree_to_brackets(tree) -> str:
-    if tree is None:
-        return "*"
-    label, children = tree
-    return f"{label}[{','.join(tree_to_brackets(c) for c in children)}]"
 
 
 # --- Stirling s-permutations ------------------------------------------------
@@ -280,37 +263,27 @@ def word_to_bumps(w, s):
     return {v: bumps[v] for v in range(1, n)}
 
 
-def _graft(tree, k, new):
-    """Put `new` on leaf k, counted in in-order, of `tree`.  Returns the new
-    tree and k less the leaves passed, which is negative once grafted."""
-    label, children = tree
-    cs = list(children)
-    for i, ch in enumerate(cs):
-        if ch is None:
-            if k == 0:
-                cs[i] = new
-                return (label, tuple(cs)), -1
-            k -= 1
-        else:
-            cs[i], k = _graft(ch, k, new)
-            if k < 0:
-                break
-    return (label, tuple(cs)), k
-
-
 def bumps_to_tree(bumps, s):
     """Grafting: node v goes on leaf `bumps[v]` of the tree so far, for
-    v = n-1, ..., 1; `s` is a checked composition, zeros allowed."""
+    v = n-1, ..., 1; `s` is a checked composition, zeros allowed.  The leaves
+    are kept in in-order as (node, slot) pairs, and grafting v on one
+    splices v's s_v + 1 leaves in its place."""
     n = len(s)
     if n == 0:
         return None
-    tree = (n, (None,) * (s[n - 1] + 1))
+    kids = [None] + [[None] * (x + 1) for x in s]  # kids[v]: the child labels of node v
+    leaves = [(n, i) for i in range(s[n - 1] + 1)]
     for v in range(n - 1, 0, -1):
         k = bumps[v]
-        if not 0 <= k <= sum(s[v:]):
+        if not 0 <= k < len(leaves):
             raise ValidationError(f"graft position {k} out of range at node {v}")
-        tree, _ = _graft(tree, k, (v, (None,) * (s[v - 1] + 1)))
-    return tree
+        parent, slot = leaves[k]
+        kids[parent][slot] = v
+        leaves[k : k + 1] = [(v, i) for i in range(s[v - 1] + 1)]
+    trees = [None]  # trees[v]: the subtree at v; children are smaller, so built first
+    for v in range(1, n + 1):
+        trees.append((v, tuple(None if c is None else trees[c] for c in kids[v])))
+    return trees[n]
 
 
 def tree_to_bumps(tree, s):

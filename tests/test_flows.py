@@ -483,13 +483,42 @@ def test_kostant_of_netflow_d_counts_the_max_cliques(G, monkeypatch):
     assert len(fl.max_cliques(graph, cap=24)) == 24
 
 
+def recursive_max_cliques(graph):
+    """Maximal cliques by Bron-Kerbosch with pivoting as a recursion, ordered
+    by the sorted strs of their routes.  The oracle for `max_cliques`, which
+    runs the same search on an explicit stack."""
+    rs = fl.routes(graph)
+    idx = range(len(rs))
+    adj = {i: set() for i in idx}
+    for i, j in combinations(idx, 2):
+        if fl.coherent(graph, rs[i], rs[j]):
+            adj[i].add(j)
+            adj[j].add(i)
+    out = []
+
+    def extend(clique, cand, excl):
+        if not cand and not excl:
+            out.append(frozenset(rs[i] for i in clique))
+            return
+        pivot = max(cand | excl, key=lambda u: len(adj[u] & cand))
+        for v in sorted(cand - adj[pivot]):
+            extend(clique | {v}, cand & adj[v], excl & adj[v])
+            cand = cand - {v}
+            excl = excl | {v}
+
+    extend(frozenset(), set(idx), set())
+    return sorted(out, key=lambda cl: sorted(map(str, cl)))
+
+
 def test_max_cliques_are_ordered_by_route_strs():
     # the routes of `bang_graph` come out of `routes` in another order than their strs
     graphs = [bang_graph()] + [graph for _, graph in small_oruga_graphs()]
     graphs += [bi.build_bic(pt.Decoration(d)) for d in small_decorations()]
+    assert len(graphs) == 149
     for graph in graphs:
         cls = fl.max_cliques(graph)
         assert cls == sorted(cls, key=lambda cl: sorted(map(str, cl)))
+        assert cls == recursive_max_cliques(graph)
 
 
 def dual_covers_oracle(graph, cliques):

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,19 @@ def test_count_memo_bound():
     assert pt._memo_bound(pt.updown_sections(slow)) == 345871
     with pytest.raises(ResourceCapError, match="permutree_count_sections"):
         pt.count_permutrees(slow)
+
+
+def test_count_of_one_long_run_keeps_no_memo():
+    """A section of 'n's alone counts as a factorial, so its count holds no
+    table of the smaller factorials (72 MiB for 9,999 'n' when it did)."""
+    tracemalloc.start()
+    try:
+        count = pt.count_permutrees("n" * 9999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == math.factorial(9999)
+    assert peak < 5 * 2**20
 
 
 def test_tamari_rotation_oracle():

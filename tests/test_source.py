@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from permutree_lab.caps import DEFAULT_CAPS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,19 +158,6 @@ def _callee(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-# functions that call themselves; this list may only shrink.  Each is bounded
-# by n or by a clique's size, and no CLI count at scale reaches it
-RECURSION_ALLOWED = {
-    "automata.lex_min_accepted_word.rec",
-    "cli._emit_table",
-    "flows.integer_flows.rec",
-    "flows.max_cliques.extend",
-    "s_weak_order._graft",
-    "s_weak_order.check_tree.rec",
-    "s_weak_order.tree_to_brackets",
-}
-
-
 def _calls_itself(fn):
     """Whether `fn` calls itself by name: `f(...)`, or `self.f(...)` in a method."""
     names = (fn.name, f"self.{fn.name}")
@@ -176,9 +165,8 @@ def _calls_itself(fn):
 
 
 def test_recursion_is_frozen():
-    """Every library function that calls itself, nested `def`s included, is
-    on the frozen list above; a count written as layered loops has no depth
-    limit, so none is added."""
+    """No library function calls itself, nested `def`s included: a search
+    on an explicit stack or a count in layered loops has no depth limit."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -189,8 +177,54 @@ def test_recursion_is_frozen():
                 names[child] = f"{names[node]}.{child.name}" if named else names[node]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node):
                 found.add(names[node])
-    assert found <= RECURSION_ALLOWED, sorted(found - RECURSION_ALLOWED)
-    assert found == RECURSION_ALLOWED, f"no longer recursive, drop: {sorted(RECURSION_ALLOWED - found)}"
+    assert sorted(found) == []
+
+
+# inputs 300 levels deep, each run in a fresh interpreter whose stack holds
+# 200 frames, so a function that recursed once per level would fail
+SHALLOW_STACK_CASES = {
+    "s_tree": """
+s = (1,) * 300
+w = sw.sorted_word(s)
+assert sw.tree_to_word(sw.word_to_tree(w, s), s) == w
+""",
+    "lex_min_word": """
+w = am.lex_min_accepted_word(wo.longest(25), am.product(set(), set(), 25), range(1, 25))
+assert len(w) == 300
+""",
+    "integer_flows": """
+framing = {v: {"in": [v - 1], "out": [v]} for v in range(1, 299)}
+path = fl.FramedGraph(299, {k: (k, k + 1) for k in range(299)}, framing)
+assert fl.integer_flows(path, fl.netflow_i(path)) == [dict.fromkeys(range(299), 1)]
+""",
+    "max_cliques": """
+parallel = fl.FramedGraph(1, {k: (0, 1) for k in range(300)}, {})
+assert fl.max_cliques(parallel, cap=300) == [frozenset((k,) for k in range(300))]
+""",
+    "cli_cliques": """
+edges = [{"id": f"e{k}", "tail": 0, "head": 1} for k in range(300)]
+with open("graph.json", "w") as fh:
+    json.dump({"vertices": 2, "edges": edges, "framing": {}}, fh)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["flows", "cliques", "--graph", "graph.json", "--cap", "300", "--json"])
+assert code == 0 and json.loads(out.getvalue())["count"] == 1
+""",
+}
+
+
+@pytest.mark.parametrize("case", SHALLOW_STACK_CASES)
+def test_deep_inputs_run_on_a_shallow_stack(case, tmp_path):
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "from permutree_lab import automata as am, cli, flows as fl, s_weak_order as sw, weak_order as wo\n"
+        "sys.setrecursionlimit(200)\n" + SHALLOW_STACK_CASES[case]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _capped_functions():
