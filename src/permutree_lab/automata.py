@@ -147,22 +147,6 @@ def avoids_all(pi, U, D) -> bool:
     )
 
 
-def exists_accepted_word(pi, U, D) -> bool:
-    """True iff pi has a reduced word accepted by P(U, D).
-
-    Computed both by fixed-pattern scan and by word search; the two must
-    agree (theorem), and the disagreement would be a bug worth crashing on.
-    """
-    pi = check_perm(pi)
-    U, D = _check_disjoint(U, D)
-    by_pattern = avoids_all(pi, U, D)
-    aut = product(U, D, len(pi))
-    by_search = lex_min_accepted_word(pi, aut, range(1, len(pi))) is not None
-    if by_pattern != by_search:
-        raise AssertionError(f"pattern scan and word search disagree on {pi}, U={sorted(U)}, D={sorted(D)}")
-    return by_pattern
-
-
 class SortOutcome:
     """Result of permutree sorting: the produced word, whether it sorted the
     input (equivalently: the word is a reduced word of the input), the

@@ -10,7 +10,6 @@ dip, replacing the edge by a source ("bs"/"ds", l) out of v_0 and a sink
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations
 from math import factorial
 
@@ -201,56 +200,22 @@ def dflow_to_permutree(flow, delta) -> Permutree:
 
 
 def permutree_clique(tree) -> frozenset:
-    """Label every edge of the permutree with a route of its bicho graph.
+    """The maximal clique of the bicho graph that labels a permutree.
 
-    Replays the tree children first: each child slot of a node catches the
-    route its occupant carries (or, when empty, the bottom route of its wall
-    interval), and the node rewrites the dip of its level into the bump,
-    splitting or gluing by the decoration.  The labels form a maximal clique
-    of coherent routes.
+    Along the linear extension pi = `children_first(tree)`, the oruga graph's
+    routes form a chain clique: route k takes the bump at the levels of
+    pi_1..pi_k and the dip at every other level.  The decoration's M-moves
+    split that chain into the permutree's clique; every linear extension of
+    the tree gives the same one.
     """
-    delta = tree.delta
     n = tree.n
-    graph = build_bic(delta)
-    walls = [i for i in range(2, n) if delta[i] in DOWNISH]
-    # bottom routes: the all-dip route cut at the down-ish walls, left to right
-    bottoms = []
-    route = all_dip_route_oru(n)
-    for i in walls:
-        l = _level(i, n)
-        k = route.index(("d", l))
-        bottoms.append(route[:k] + (("dt", l),))
-        route = (("ds", l),) + route[k + 1 :]
-    bottoms.append(route)
-    carried = {}  # (node, parent slot) -> route leaving the node through it
-    labels = []
+    route = list(all_dip_route_oru(n))  # entry v - 1 is the edge at node v's level
+    chain = [tuple(route)]
     for v in children_first(tree):
-        l = _level(v, n)
-        base = bisect_left(walls, v)
-        caught = [
-            bottoms[base + k] if c is None else carried[c, tree.parents[c - 1].index(v)]
-            for k, c in enumerate(tree.children[v - 1])
-        ]
-        labels.extend(caught)
-        if delta[v] in DOWNISH:
-            left, right = caught
-            if left[-1] != ("dt", l) or right[0] != ("ds", l):
-                raise AssertionError(f"routes caught at node {v} do not meet at its wall")
-            prefix, suffix = left[:-1], right[1:]
-        else:
-            (route,) = caught
-            k = route.index(("d", l))
-            prefix, suffix = route[:k], route[k + 1 :]
-        if delta[v] in UPISH:
-            carried[v, 0] = prefix + (("bt", l),)
-            carried[v, 1] = (("bs", l),) + suffix
-        else:
-            carried[v, 0] = prefix + (("b", l),) + suffix
-    labels.extend(
-        route for (v, k), route in carried.items() if tree.parents[v - 1][k] is None
-    )
-    clique = frozenset(labels)
-    want = graph.dimension() + 1
+        route[v - 1] = ("b", _level(v, n))
+        chain.append(tuple(route))
+    clique = split_clique(chain, moved_edges(tree.delta))
+    want = build_bic(tree.delta).dimension() + 1
     if len(clique) != want:
         raise AssertionError(f"permutree clique size {len(clique)} != {want}")
     return clique
@@ -351,6 +316,8 @@ def equivariance_holds(delta, other) -> bool:
     """Flow counts agree for decorations sharing none- and updown-positions."""
     delta = as_decoration(delta)
     other = as_decoration(other)
+    if delta.n != other.n:
+        raise ValidationError(f"decorations must have the same length, not {delta.n} and {other.n}")
     same = all(
         (a == b) or {a, b} <= {"d", "u"} for a, b in zip(delta.symbols, other.symbols)
     )

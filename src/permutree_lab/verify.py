@@ -171,16 +171,14 @@ def criterion_4(level):
                 _require(len(finals) <= 1, "same-state %s", pi)
                 prefixes = all(aut.accepts(w[:k]) for w in accepted for k in range(len(w)))
                 _require(prefixes, "prefix")
-    # refined three-case state prediction for single automata, n <= 5
-    for n in range(3, min(nmax_words, 5) + 1):
+        # refined three-case state prediction for single automata
         for j in range(2, n):
             aut = am.build_single("U", j, n)
-            for pi in wo.all_perms(n):
-                words = wo.reduced_words(pi)
+            for pi in perms:
                 pos = wo.inverse(pi)
                 inv_up = sum(1 for i in range(1, j) if pos[i - 1] > pos[j - 1])
                 inv_dn = sum(1 for k in range(j + 1, n + 1) if pos[j - 1] > pos[k - 1])
-                finals = {aut.run(w) for w in words}
+                finals = {aut.run(w) for w in words[pi]}
                 classes = {aut.classify[f] for f in finals}
                 case1 = inv_up or (len(finals) == 1 and classes == {"healthy"})
                 _require(case1, "case1 %s j=%s", pi, j)
@@ -192,14 +190,16 @@ def criterion_4(level):
                     )
                     _require(len(finals) == 1 and classes == {want}, "case2 %s", pi)
                 if inv_up and inv_dn:
-                    acc_states = {aut.run(w) for w in words if aut.accepts(w)}
+                    acc_states = {aut.run(w) for w in words[pi] if aut.accepts(w)}
                     ill = all(aut.classify[f] == "ill" for f in acc_states)
                     _require(len(acc_states) <= 1 and ill, "case3 %s", pi)
-    # n = nmax_search by algorithmic search (cross-checked inside the op)
+    # n = nmax_search by the lex-min word search
     n = nmax_search
     for U, D in _disjoint_pairs(n):
+        aut = am.product(U, D, n)
         for pi in wo.all_perms(n):
-            am.exists_accepted_word(pi, U, D)
+            found = am.lex_min_accepted_word(pi, aut, range(1, n)) is not None
+            _require(found == am.avoids_all(pi, U, D), "search %s %s %s", pi, U, D)
     return f"words n<={nmax_words}, search n={nmax_search}"
 
 

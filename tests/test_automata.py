@@ -151,12 +151,9 @@ def test_product_skeleton_s4():
         assert has == am.avoids_all(pi, {3}, {2})
 
 
-def test_exists_accepted_word():
-    assert am.exists_accepted_word((3, 4, 2, 1), {2}, set())
-    assert not am.exists_accepted_word((4, 2, 3, 1), {2}, set())
-    assert am.exists_accepted_word((1, 2, 3, 4), {2}, {3})
-    with pytest.raises(ValidationError):
-        am.exists_accepted_word((3, 2, 1), {2}, {2})
+def test_overlapping_u_and_d_are_refused():
+    with pytest.raises(ValidationError, match=r"U and D must be disjoint, both contain \[2\]"):
+        am.permutree_sort((3, 2, 1), {2}, {2})
 
 
 def test_sorting_worked_traces():

@@ -1,4 +1,5 @@
 import json
+from bisect import bisect_left
 
 import pytest
 
@@ -125,6 +126,67 @@ def test_permutree_clique_matches_oracle():
             assert got == want
 
 
+def _replay_clique(tree):
+    """The permutree's clique by the modified insertion algorithm.
+
+    Replays the tree children first: each child slot of a node catches the
+    route its occupant carries (or, when empty, the bottom route of its wall
+    interval), and the node rewrites the dip of its level into the bump,
+    splitting or gluing by the decoration.  The caught and carried routes
+    label the tree's edges.
+    """
+    delta = tree.delta
+    n = tree.n
+    walls = [i for i in range(2, n) if delta[i] in pt.DOWNISH]
+    # bottom routes: the all-dip route cut at the down-ish walls, left to right
+    bottoms = []
+    route = bi.all_dip_route_oru(n)
+    for i in walls:
+        l = n + 1 - i
+        k = route.index(("d", l))
+        bottoms.append(route[:k] + (("dt", l),))
+        route = (("ds", l),) + route[k + 1 :]
+    bottoms.append(route)
+    carried = {}  # (node, parent slot) -> route leaving the node through it
+    labels = []
+    for v in pt.children_first(tree):
+        l = n + 1 - v
+        base = bisect_left(walls, v)
+        caught = [
+            bottoms[base + k] if c is None else carried[c, tree.parents[c - 1].index(v)]
+            for k, c in enumerate(tree.children[v - 1])
+        ]
+        labels.extend(caught)
+        if delta[v] in pt.DOWNISH:
+            left, right = caught
+            assert left[-1] == ("dt", l) and right[0] == ("ds", l), v
+            prefix, suffix = left[:-1], right[1:]
+        else:
+            (route,) = caught
+            k = route.index(("d", l))
+            prefix, suffix = route[:k], route[k + 1 :]
+        if delta[v] in pt.UPISH:
+            carried[v, 0] = prefix + (("bt", l),)
+            carried[v, 1] = (("bs", l),) + suffix
+        else:
+            carried[v, 0] = prefix + (("b", l),) + suffix
+    labels.extend(
+        route for (v, k), route in carried.items() if tree.parents[v - 1][k] is None
+    )
+    return frozenset(labels)
+
+
+def test_split_chain_clique_matches_the_replay():
+    # every tree of every decoration with n <= 5: 2,951 trees
+    trees = 0
+    for n in range(1, 6):
+        for d in pt.normalized_decorations(n):
+            for tree in pt.rotation_lattice(d).elements:
+                assert bi.permutree_clique(tree) == _replay_clique(tree), tree
+                trees += 1
+    assert trees == 2951
+
+
 def test_bottom_clique_contains_exceptionals():
     for text in ["nnnn", "nxdn", "nudn"]:
         d = pt.Decoration(text)
@@ -173,3 +235,6 @@ def test_equivariance():
     assert bi.equivariance_holds("nuxun", "ndxdn")
     with pytest.raises(ValidationError):
         bi.equivariance_holds("nudn", "nnnn")
+    for a, b in (("nnn", "nnnn"), ("nnnn", "nnn")):  # zip would drop the last symbol
+        with pytest.raises(ValidationError, match="same length"):
+            bi.equivariance_holds(a, b)

@@ -71,6 +71,12 @@ def test_permutree_sort_needs_no_cap(capsys):
     assert json.loads(out)["sorted"] is True
 
 
+def test_permutree_sort_refuses_overlapping_u_and_d(capsys):
+    code, out, err = run_cli(capsys, "permutree", "sort", "--pi", "321", "--U", "2", "--D", "2")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["invalid input: U and D must be disjoint, both contain [2]"]
+
+
 def test_permutree_lattice_json(capsys):
     code, out, _ = run_cli(capsys, "permutree", "lattice", "--delta", "nxn", "--json")
     data = json.loads(out)

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from permutree_lab import automata as am
+from permutree_lab import bicho as bi
 from permutree_lab import cli
 from permutree_lab import flows as fl
 from permutree_lab import permutree as pt
@@ -103,5 +104,33 @@ def test_a_final_check_names_itself(criterion, patches, detail, monkeypatch):
     # the sweeps are emptied, so only the closing check can fail
     for module, name, value in patches:
         monkeypatch.setattr(module, name, value)
+    result = criterion(level="quick")
+    assert (result["ok"], result["detail"]) == (False, detail)
+
+
+_clique = bi.permutree_clique
+
+
+def _bottom_clique(tree):
+    return _clique(pt.bottom(tree.delta))
+
+
+def _top_and_bottom_swapped(tree):
+    ends = {pt.bottom(tree.delta): pt.top(tree.delta), pt.top(tree.delta): pt.bottom(tree.delta)}
+    return _clique(ends.get(tree, tree))
+
+
+@pytest.mark.parametrize(
+    "criterion, module, name, fault, detail",
+    [
+        (verify.criterion_4, am, "lex_min_accepted_word", lambda pi, aut, priority: None,
+         "search (1, 2, 3, 4, 5) frozenset() frozenset()"),
+        (verify.criterion_10, bi, "permutree_clique", _bottom_clique, "cliques nn"),
+        (verify.criterion_10, bi, "permutree_clique", _top_and_bottom_swapped, "dual poset nn"),
+    ],
+)
+def test_a_planted_fault_fails_its_criterion(criterion, module, name, fault, detail, monkeypatch):
+    # one kernel returns a plausible wrong value; the criterion must name it
+    monkeypatch.setattr(module, name, fault)
     result = criterion(level="quick")
     assert (result["ok"], result["detail"]) == (False, detail)
