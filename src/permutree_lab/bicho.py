@@ -206,7 +206,8 @@ def permutree_clique(tree) -> frozenset:
     routes form a chain clique: route k takes the bump at the levels of
     pi_1..pi_k and the dip at every other level.  The decoration's M-moves
     split that chain into the permutree's clique; every linear extension of
-    the tree gives the same one.
+    the tree gives the same one.  Its size must be the bicho graph's
+    dimension() + 1, which is n + 1 plus one per moved edge.
     """
     n = tree.n
     route = list(all_dip_route_oru(n))  # entry v - 1 is the edge at node v's level
@@ -214,8 +215,9 @@ def permutree_clique(tree) -> frozenset:
     for v in children_first(tree):
         route[v - 1] = ("b", _level(v, n))
         chain.append(tuple(route))
-    clique = split_clique(chain, moved_edges(tree.delta))
-    want = build_bic(tree.delta).dimension() + 1
+    moved = moved_edges(tree.delta)
+    clique = split_clique(chain, moved)
+    want = n + 1 + len(moved)
     if len(clique) != want:
         raise AssertionError(f"permutree clique size {len(clique)} != {want}")
     return clique

@@ -6,6 +6,7 @@ status 0 on success, 1 on validation and usage errors, 2 on resource-cap refusal
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -296,6 +297,8 @@ def build_parser(argv):
 
 
 def main(argv=None):
+    if sys.stdout is None:  # started with stdout closed: no answer could be written
+        _refuse(1, "cannot write output: stdout is closed")
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
     try:
@@ -315,6 +318,11 @@ def main(argv=None):
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             _emit_table(report)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        # what stays buffered would fail again in the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _refuse(1, f"cannot write output: {exc}")
     finally:
         sys.set_int_max_str_digits(limit)
     if status:

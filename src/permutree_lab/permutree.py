@@ -10,9 +10,10 @@ B(T) = {(i, j) : i < j and j is a descendant of i}; the slot structure is
 canonical given those data.  A tree holds B(T) as one bitmask row per node
 (bit j of row i set iff (i, j) is in B(T), the layout `weak_order` owns), its
 identity; the pair set and the string key are decoded from the rows there.
-`insert` fills the rows as it places the nodes; `children_first` derives
-them for trees from `rotate` and `permutree_from_json`.  One rooted walk
-gives every slot's component.
+`insert` fills the rows as it places the nodes; trees from `rotate` and
+`permutree_from_json` derive them from their slots in one pass that pushes
+each node's descendants up to its parents.  One rooted walk gives every
+slot's component.
 """
 
 from __future__ import annotations
@@ -131,17 +132,24 @@ class Permutree:
     def inversion_rows(self):
         """B(T) as a tuple over 0..n: bit j of row i is set iff (i, j) is in
         B(T), i.e. i < j and j a descendant of i; filled by `insert`, or
-        built in one children-first pass.
+        built in one pass that pushes each node's descendants to its parents
+        once all its children are done.
 
         >>> insert((4, 1, 3, 2, 5), "nnnnn").inversion_rows()
         (0, 16, 24, 16, 0, 0)
         """
         if self._rows is None:
             below = [0] * (self.n + 1)  # bit j of below[v]: j is a descendant of v
-            for v in children_first(self):
-                for c in self.children[v - 1]:
-                    if c is not None:
-                        below[v] |= below[c] | 1 << c
+            waiting = [len(cs) - cs.count(None) for cs in self.children]
+            order = [v for v in range(1, self.n + 1) if not waiting[v - 1]]
+            for v in order:  # grows while read: each node once its children are done
+                mask = below[v] | 1 << v
+                for p in self.parents[v - 1]:
+                    if p is not None:
+                        below[p] |= mask
+                        waiting[p - 1] -= 1
+                        if not waiting[p - 1]:
+                            order.append(p)
             self._rows = tuple(b >> i + 1 << i + 1 for i, b in enumerate(below))
         return self._rows
 
@@ -245,30 +253,27 @@ def insert(pi, delta) -> Permutree:
     syms = delta.symbols
     children = [None] * n
     below = [0] * (n + 1)  # bit j of below[v]: j is a descendant of v
-    # zones are column intervals (lo, hi) between active walls; each carries the
-    # string top: None or the node whose parent slot the string leaves
-    walls = [i for i, s in enumerate(syms, 1) if s in DOWNISH]
-    bounds = [0] + walls + [n + 1]
-    zones = [[bounds[k], bounds[k + 1], None] for k in range(len(bounds) - 1)]
-
+    # the walls between column zones, one bit each: 0, every downish position
+    # not yet placed and every upish node placed; top[lo] is the string top
+    # (None or the node whose parent slot the string leaves) of the zone
+    # whose left wall is lo
+    walls = sum(1 << i for i, s in enumerate(syms, 1) if s in DOWNISH) | 1
+    top = [None] * (n + 1)
     for v in pi:
         dv = syms[v - 1]
+        lo = (walls & (1 << v) - 1).bit_length() - 1
         if dv in DOWNISH:
-            z = next(k for k, zone in enumerate(zones) if zone[1] == v)
-            zone, right = zones[z], zones.pop(z + 1)
-            cs = children[v - 1] = (zone[2], right[2])
-            zone[1] = right[1]
+            cs = children[v - 1] = (top[lo], top[v])
+            walls ^= 1 << v
         else:
-            z = next(k for k, zone in enumerate(zones) if zone[0] < v < zone[1])
-            zone = zones[z]
-            cs = children[v - 1] = (zone[2],)
+            cs = children[v - 1] = (top[lo],)
         for c in cs:
             if c is not None:
                 below[v] |= below[c] | 1 << c
+        top[lo] = v
         if dv in UPISH:
-            zones[z : z + 1] = [[zone[0], v, v], [v, zone[1], v]]
-        else:
-            zone[2] = v
+            walls |= 1 << v
+            top[v] = v
 
     rows = tuple(b >> i + 1 << i + 1 for i, b in enumerate(below))
     return Permutree(n, delta, tuple(children), rows)

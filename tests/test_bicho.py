@@ -126,6 +126,17 @@ def test_permutree_clique_matches_oracle():
             assert got == want
 
 
+def test_clique_size_from_the_decoration_is_the_graph_dimension():
+    # `permutree_clique` checks its size against n + 1 + |moved edges|
+    # without building the graph; tie that formula to the graph itself
+    checked = 0
+    for n in range(1, 10):
+        for d in pt.normalized_decorations(n):
+            assert n + 1 + len(bi.moved_edges(d)) == bi.build_bic(d).dimension() + 1, d
+            checked += 1
+    assert checked == 21846  # sum over 1 <= n <= 9 of 4^max(n-2, 0)
+
+
 def _replay_clique(tree):
     """The permutree's clique by the modified insertion algorithm.
 

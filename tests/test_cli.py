@@ -5,8 +5,10 @@ import inspect
 import io
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -719,3 +721,38 @@ def test_cli_grammar_exits_cleanly(argv):
     assert code in (0, 1, 2, None), argv
     if code in (1, 2):
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
+def _cli_process(shell_tail="", **kwargs):
+    """`sorder count --s 1,2,1` in a fresh interpreter, its stdout redirected
+    by `shell_tail` or by the `stdout` keyword."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    command = '"$0" -m permutree_lab.cli sorder count --s 1,2,1 ' + shell_tail
+    return subprocess.run(
+        ["sh", "-c", command, sys.executable], env=env, stderr=subprocess.PIPE, text=True,
+        timeout=60, **kwargs,
+    )
+
+
+def test_a_closed_pipe_is_one_line():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the answer is written
+    try:
+        proc = _cli_process(stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "cannot write output: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_full_disk_is_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(stdout=full)
+    assert (proc.returncode, proc.stderr) == (
+        1, "cannot write output: [Errno 28] No space left on device\n"
+    )
+
+
+def test_a_closed_stdout_is_one_line():
+    proc = _cli_process(">&-")
+    assert (proc.returncode, proc.stderr) == (1, "cannot write output: stdout is closed\n")

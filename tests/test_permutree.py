@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -362,13 +363,16 @@ def insert_oracle(pi, delta):
 
 
 def test_derived_parent_slots_match_the_insertion_oracle():
+    # every normalized decoration with n <= 4, then all 1,024 symbol strings
+    # of length 5, whose ends both sides normalize
+    decorations = [d for n in range(1, 5) for d in pt.normalized_decorations(n)]
+    decorations += ["".join(syms) for syms in product(pt.SYMBOLS, repeat=5)]
     checked = 0
-    for n in range(1, 6):
-        for d in pt.normalized_decorations(n):
-            for pi in wo.all_perms(n):
-                t = pt.insert(pi, d)
-                assert (t.children, t.parents) == insert_oracle(pi, d), (pi, d)
-                checked += 1
+    for d in decorations:
+        for pi in wo.all_perms(pt.as_decoration(d).n):
+            t = pt.insert(pi, d)
+            assert (t.children, t.parents) == insert_oracle(pi, d), (pi, d)
+            checked += 1
     rng = random.Random(11)
     for _ in range(3000):
         n = rng.randint(6, 8)
@@ -376,7 +380,7 @@ def test_derived_parent_slots_match_the_insertion_oracle():
         d = pt.Decoration("".join(rng.choice(pt.SYMBOLS) for _ in range(n)))
         t = pt.insert(pi, d)
         assert (t.children, t.parents) == insert_oracle(pi, d), (pi, d)
-    assert checked == 8091  # sum over n <= 5 of n! * 4^max(n-2, 0)
+    assert checked == 123291  # sum over n <= 4 of n! * 4^max(n-2, 0), plus 5! * 4^5
 
 
 def test_insert_fills_the_rows_its_slots_give():
@@ -388,6 +392,28 @@ def test_insert_fills_the_rows_its_slots_give():
                 assert t.inversion_rows() == pt.Permutree(n, d, t.children).inversion_rows()
                 checked += 1
     assert checked == 192411  # sum over 1 <= n <= 6 of n! * 4^max(n-2, 0)
+
+
+def rows_children_first(tree):
+    """B(T) as rows, each node ORing in its children's rows in the order of
+    `children_first`: the pass `inversion_rows` made before its push pass."""
+    below = [0] * (tree.n + 1)
+    for v in pt.children_first(tree):
+        for c in tree.children[v - 1]:
+            if c is not None:
+                below[v] |= below[c] | 1 << c
+    return tuple(b >> i + 1 << i + 1 for i, b in enumerate(below))
+
+
+def test_rows_from_slots_match_the_children_first_oracle():
+    trees = 0
+    for n in range(1, 7):
+        for d in pt.normalized_decorations(n):
+            for t in pt.rotation_lattice(d).elements:
+                fresh = pt.Permutree(n, d, t.children)  # rows derived, not given
+                assert fresh.inversion_rows() == rows_children_first(fresh), t
+                trees += 1
+    assert trees == 37543  # every delta-permutree with n <= 6
 
 
 def test_children_first_is_the_least_linear_extension():

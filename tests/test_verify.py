@@ -14,6 +14,7 @@ from permutree_lab import cli
 from permutree_lab import flows as fl
 from permutree_lab import permutree as pt
 from permutree_lab import s_weak_order as sw
+from permutree_lab import vectors as vec
 from permutree_lab import verify
 from permutree_lab.errors import ValidationError
 
@@ -120,9 +121,38 @@ def _top_and_bottom_swapped(tree):
     return _clique(ends.get(tree, tree))
 
 
+_insert = pt.insert
+
+
+def _slots_reversed(pi, delta):
+    tree = _insert(pi, delta)
+    slots = tuple(cs[::-1] for cs in tree.children)
+    return pt.Permutree(tree.n, tree.delta, slots, tree.inversion_rows())
+
+
+_rows = pt.Permutree.inversion_rows
+
+
+def _row_1_top_bit_dropped(tree):
+    rows = _rows(tree)
+    top_bit = 1 << rows[1].bit_length() >> 1  # 0 for an empty row
+    return rows[:1] + (rows[1] ^ top_bit,) + rows[2:]
+
+
+_count = pt.count_permutrees
+
+
 @pytest.mark.parametrize(
     "criterion, module, name, fault, detail",
     [
+        (verify.criterion_1, pt, "insert", _slots_reversed, "delta=nndn"),
+        (verify.criterion_10, pt, "insert", _slots_reversed, "dual poset ndn"),
+        (verify.criterion_3, pt.Permutree, "inversion_rows", _row_1_top_bit_dropped,
+         "rotated slots disagree with the closure of B(T) + (i, j)"),
+        (verify.criterion_1, pt, "count_permutrees", lambda d, cap=None: _count(d, cap) + 1,
+         "delta=nnnn"),
+        (verify.criterion_2, vec, "meet_via_inversions", lambda a, b: a,
+         "nn: Permutree(nn, B=[(1, 2)]) ^ Permutree(nn, B=[])"),
         (verify.criterion_4, am, "lex_min_accepted_word", lambda pi, aut, priority: None,
          "search (1, 2, 3, 4, 5) frozenset() frozenset()"),
         (verify.criterion_10, bi, "permutree_clique", _bottom_clique, "cliques nn"),
