@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .caps import require_cap
+from .caps import cap_for, require_cap
 from .errors import ValidationError
 from .weak_order import (
     all_perms,
@@ -20,6 +20,7 @@ from .weak_order import (
     identity,
     inverse,
     right_mult,
+    rows_of_perm,
 )
 
 HEALTHY, ILL, DEAD = "healthy", "ill", "dead"
@@ -121,7 +122,8 @@ def _product_cached(U, D, n) -> PermutreeAutomaton:
 
 
 def _check_disjoint(U, D):
-    U, D = frozenset(U), frozenset(D)
+    """U and D as frozensets built in ascending order, refused if they meet."""
+    U, D = frozenset(sorted(U)), frozenset(sorted(D))
     if U & D:
         raise ValidationError(f"U and D must be disjoint, both contain {sorted(U & D)}")
     return U, D
@@ -197,55 +199,46 @@ def _sort_single(pi, j, kind, priority):
             j += 1 if kind == "U" else -1
 
 
-def _move_up(U, l):
-    return (U - {l}) | {l + 1} if l in U else U
-
-
-def _move_down(D, l):
-    return (D - {l + 1}) | {l} if l + 1 in D else D
+@lru_cache(maxsize=4096)  # a sort moves a few small sets many times
+def _move(S, frm, to):
+    """S after a letter that carries the factor at `frm` to `to` and forgets
+    one at `to`, built in ascending order so that it prints by its value."""
+    if frm in S or to in S:
+        S = frozenset(sorted(S - {frm} | {to} if frm in S else S - {to}))
+    return S
 
 
 def _sort_multiple(pi, U, D, priority):
-    """(U, D)-permutree sorting: follow P(U, D) without building it."""
+    """(U, D)-permutree sorting: follow P(U, D) without building it; U and D
+    are frozensets built in ascending order.  A healthy letter hits no
+    factor; only when there is none, an ill letter may, if each factor it
+    sends to an ill state is safe to forget (no reduced word of pi can
+    revisit it; pi[:m] holds the values 1..m iff max(pos[:m]) == m)."""
     pi, pos = list(pi), list(inverse(pi))
     word, trace = [], []
     while True:
         healthy = [l for l in priority if pos[l - 1] > pos[l] and l + 1 not in U and l not in D]
-        if healthy:
-            l = healthy[0]
-            trace.append((tuple(pi), (frozenset(U), frozenset(D)), l))
-            _swap(pi, pos, l)
-            word.append(l)
-            U, D = _move_up(U, l), _move_down(D, l)
-            continue
-        # ill moves: every factor that s_l sends to an ill state must be
-        # individually safe to forget (no reduced word of pi can revisit it);
-        # pi[:m] holds the values 1..m iff max(pos[:m]) == m
-        ill = []
-        for l in priority:
-            if pos[l - 1] < pos[l]:
-                continue
-            u_hit, d_hit = l + 1 in U, l in D
-            if not (u_hit or d_hit):
-                continue
-            if u_hit and max(pos[: l + 1]) != l + 1:
-                continue
-            if d_hit and max(pos[: l - 1], default=0) != l - 1:
-                continue
-            ill.append(l)
-        if ill:
-            l = ill[0]
-            trace.append((tuple(pi), (frozenset(U), frozenset(D)), l))
-            _swap(pi, pos, l)
-            word.append(l)
-            U, D = _move_up(U - {l + 1}, l), _move_down(D - {l}, l)
-            continue
-        return word, tuple(pi), trace
+        picks = healthy or [  # with no healthy letter, each descent hits a factor
+            l
+            for l in priority
+            if pos[l - 1] > pos[l]
+            and (l + 1 not in U or max(pos[: l + 1]) == l + 1)
+            and (l not in D or max(pos[: l - 1], default=0) == l - 1)
+        ]
+        if not picks:
+            return word, tuple(pi), trace
+        l = picks[0]
+        trace.append((tuple(pi), (U, D), l))
+        _swap(pi, pos, l)
+        word.append(l)
+        U, D = _move(U, l, l + 1), _move(D, l + 1, l)
 
 
-def permutree_sort(pi, U, D, priority=None) -> SortOutcome:
+def permutree_sort(pi, U, D, priority=None, cap=None) -> SortOutcome:
     """Produce a reduced word accepted by P(U, D); it is a reduced word of pi
-    exactly when pi is (U, D)-permutree minimal.
+    exactly when pi is (U, D)-permutree minimal.  The inversions of pi bound
+    the letters of the word, each traced with a copy of pi, so they are
+    checked against the cap `sort_letters` first.
 
     >>> permutree_sort((3, 4, 2, 1), {2}, set()).sorted
     True
@@ -256,12 +249,14 @@ def permutree_sort(pi, U, D, priority=None) -> SortOutcome:
     U, D = _check_disjoint(U, D)
     n = len(pi)
     priority = _check_priority(priority, n)
+    if n * (n - 1) // 2 > cap_for("sort_letters", cap):  # the most inversions any pi has
+        require_cap("sort_letters", sum(map(int.bit_count, rows_of_perm(pi))), cap)
     aut = product(U, D, n)  # checks each spine position j first
     if len(U) + len(D) == 1:
         (j,) = U or D
         word, res, trace = _sort_single(pi, j, "U" if U else "D", priority)
     else:
-        word, res, trace = _sort_multiple(pi, set(U), set(D), priority)
+        word, res, trace = _sort_multiple(pi, U, D, priority)
     outcome = SortOutcome(word, res == identity(n), res, trace)
     if not aut.accepts(outcome.word):
         raise AssertionError(f"sorting produced a rejected word for {pi}")

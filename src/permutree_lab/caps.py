@@ -19,6 +19,8 @@ DEFAULT_CAPS = {
     "permutree_count_sections": 10_000,
     "conjecture_terms": 65_536,
     "kostant_states": 100_000,
+    "sort_letters": 10_000,
+    "s_letters": 1_000,
 }
 
 

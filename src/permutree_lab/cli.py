@@ -94,8 +94,10 @@ def _attach_negative_values(argv):
 
 def _graph(args):
     """The graph of the one source argparse admitted; '' is a value too."""
-    if args.s is not None:
-        return og.build_oru(_int_list("--s", args.s))
+    if args.s is not None:  # oru(s) has |s| + n + 1 edges
+        s = sw.check_composition(_int_list("--s", args.s), strict=True)
+        require_cap("s_letters", sum(s), args.cap)
+        return og.build_oru(s)
     if args.delta is not None:
         return bi.build_bic(pt.Decoration(args.delta))
     try:
@@ -132,7 +134,7 @@ def permutree_insert(args):
 
 def permutree_sort(args):
     U, D = (frozenset(_int_list(f, x) if x else ()) for f, x in (("--U", args.U), ("--D", args.D)))
-    out = am.permutree_sort(_parse_pi(args.pi), U, D)
+    out = am.permutree_sort(_parse_pi(args.pi), U, D, cap=args.cap)
     trace = [{"pi": wo.serialize(p), "state": repr(j), "letter": l} for p, j, l in out.trace]
     return {"pi": args.pi, "U": sorted(U), "D": sorted(D), "word": ",".join(map(str, out.word)),
             "sorted": out.sorted, "residual": wo.serialize(out.residual), "trace": trace}
@@ -231,7 +233,7 @@ VERBS = {
         "count": (permutree_count, "--delta [--n] [--cap]"),
         "lattice": (permutree_lattice, "--delta [--cap]"),
         "insert": (permutree_insert, "--pi --delta"),
-        "sort": (permutree_sort, "--pi [--U] [--D]"),
+        "sort": (permutree_sort, "--pi [--U] [--D] [--cap]"),
     }),
     "sorder": ("the s-weak order and its realization", {
         "count": (sorder_count, "--s"),

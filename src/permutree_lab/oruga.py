@@ -299,10 +299,12 @@ def realize(s, eps=None, cap=None) -> Realization:
     """Exact vertex/edge data of the s-permutahedron for an admissible eps.
 
     Refuses inadmissible heights, naming a violated minimal conflict.  For
-    eps = p/q every check runs on heights scaled by q^n to ints.  The
-    count_s_trees(s) vertices are checked against the cap `s_trees` first.
+    eps = p/q every check runs on heights scaled by q^n to ints.  The |s|
+    letters of its words and its count_s_trees(s) vertices are checked
+    against the caps `s_letters` and `s_trees` first.
     """
     s = check_composition(s, strict=True)
+    require_cap("s_letters", sum(s), cap)
     require_cap("s_trees", count_s_trees(s), cap)
     eps = default_epsilon(s) if eps is None else Fraction(eps)
     scales = _scales(len(s), eps)  # scales[0] = q^n

@@ -418,21 +418,8 @@ def _memo_bound(sections) -> int:
 
 def updown_sections(delta):
     """Symbol runs delimited by 'x' positions, with the 'x' endpoints read as 'n'."""
-    syms = delta.symbols
-    n = len(syms)
-    cuts = [0] + [p for p in range(n) if syms[p] == "x"] + [n - 1]
-    if n == 0:
-        return []
-    sections = []
-    for k in range(len(cuts) - 1):
-        lo, hi = cuts[k], cuts[k + 1]
-        sec = list(syms[lo : hi + 1])
-        if sec and sec[0] == "x":
-            sec[0] = "n"
-        if sec and sec[-1] == "x":
-            sec[-1] = "n"
-        sections.append(tuple(sec))
-    return sections
+    runs = "".join(delta.symbols).replace("x", "n|n").split("|")  # "nuxdn" -> "nun", "ndn"
+    return [tuple(run) for run in runs] if delta.symbols else []
 
 
 def _count_section(sec, memo) -> int:

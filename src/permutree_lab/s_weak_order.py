@@ -416,9 +416,11 @@ def add_ascents_fixpoint(w, A, s) -> Word:
 
 
 def s_hasse(s, cap=None) -> Hasse:
-    """Hasse diagram of the s-weak order via ascent transpositions; its
-    count_s_trees(s) elements are checked against the cap `s_trees` first."""
+    """Hasse diagram of the s-weak order via ascent transpositions; the
+    letters of its words (|s|) are checked against the cap `s_letters` and its
+    count_s_trees(s) elements against the cap `s_trees` first."""
     s = check_composition(s, strict=True)
+    require_cap("s_letters", sum(s), cap)
     require_cap("s_trees", _count_s_trees(s), cap)
     return hasse_by_bfs(
         sorted_word(s), lambda w: [transpose_ascent(w, pair, s) for pair in ascents(w)]

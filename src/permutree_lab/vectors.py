@@ -25,11 +25,6 @@ from .permutree import (
 from .weak_order import cotransitivity_witness, rows_of_pairs, transitivity_witness
 
 
-def inversion_set(tree) -> frozenset:
-    """B(T) = {(i, j) : i < j and j -> i}."""
-    return tree.inversion_pairs()
-
-
 def inversion_vector(tree):
     """Entry i (1 <= i < n) counts the pairs (i, j) of B(T): the bits of row i."""
     return tuple(row.bit_count() for row in tree.inversion_rows()[1 : tree.n])
@@ -62,7 +57,7 @@ def validate_inversion_set(pairs, delta):
 
 
 def permutree_from_inversion_set(pairs, delta) -> Permutree:
-    """Inverse of `inversion_set`: grid placement of the values, then insertion."""
+    """Inverse of `Permutree.inversion_pairs`: grid placement of the values, then insertion."""
     delta = as_decoration(delta)
     pairs = validate_inversion_set(pairs, delta)
     return _tree_from_pairs(pairs, delta)

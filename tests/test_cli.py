@@ -258,6 +258,10 @@ CAP_REQUESTS = [
     (("sorder", "identities", "--s", "1,2,2"), "lidskii_terms", 2, "equal", True),
     (("flows", "kostant", "--delta", "nddddn", "--netflow", "d"), "kostant_states", 5, "kostant", 132),
     (("flows", "cliques", "--s", "1,1,1,1"), "cliques", 24, "count", 24),  # from 16 routes
+    (("permutree", "sort", "--pi", "3421", "--U", "2"), "sort_letters", 5, "word", "2,1,3,2,3"),
+    (("sorder", "hasse", "--s", "6,6"), "s_letters", 12, "nodes", 7),
+    (("sorder", "realize", "--s", "1,2"), "s_letters", 3, "vertices", 3),
+    (("flows", "kostant", "--s", "1,2,1", "--netflow", "d"), "s_letters", 4, "kostant", 8),
 ]
 
 
@@ -286,6 +290,42 @@ def test_cap_flag_never_lowers_a_cap(capsys):
     for argv, _, _, key, value in CAP_REQUESTS:
         code, out, _ = run_cli(capsys, *argv, "--cap", "0", "--json")
         assert code == 0 and _field(out, key) == value, argv
+
+
+@pytest.mark.parametrize(
+    "argv, cap, size",
+    [
+        (("permutree", "sort", "--pi", ",".join(map(str, range(1000, 0, -1))), "--U", "2"),
+         "sort_letters", 499_500),
+        (("sorder", "realize", "--s", "100000,1"), "s_letters", 100_001),
+        (("sorder", "hasse", "--s", "1000000,1"), "s_letters", 1_000_001),
+        (("flows", "kostant", "--s", "100000000", "--netflow", "d"), "s_letters", 100_000_000),
+    ],
+)
+def test_a_size_past_the_cap_is_refused_before_anything_is_built(argv, cap, size):
+    """The inversions of pi bound the letters of a sort, each traced with a
+    copy of pi; |s| bounds the words and the graph oru(s), while the s-tree
+    count never reads s_1.  Each is checked first, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "permutree_lab.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"resource cap: {cap}: requested size {size} exceeds cap {caps.DEFAULT_CAPS[cap]} "
+        "(raise it with --cap or cap=)"
+    ]
+
+
+def test_readme_lists_the_default_caps():
+    """README's cap table names exactly `caps.DEFAULT_CAPS`, each with its default."""
+    text = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| .* \| ([\d,]+) \|$", text, flags=re.M)
+    assert {name: int(default.replace(",", "")) for name, default in rows} == caps.DEFAULT_CAPS
+    assert len(rows) == len(caps.DEFAULT_CAPS)
 
 
 def test_s_trees_cap_counts_the_elements(capsys):
@@ -532,7 +572,7 @@ READS = {
     ("permutree", "count"): {"--delta", "--n", "--json", "--cap"},
     ("permutree", "lattice"): {"--delta", "--json", "--cap"},
     ("permutree", "insert"): {"--pi", "--delta", "--json"},
-    ("permutree", "sort"): {"--pi", "--U", "--D", "--json"},
+    ("permutree", "sort"): {"--pi", "--U", "--D", "--json", "--cap"},
     ("sorder", "count"): {"--s", "--json"},
     ("sorder", "hasse"): {"--s", "--json", "--cap"},
     ("sorder", "realize"): {"--s", "--epsilon", "--approx", "--json", "--cap"},
@@ -570,7 +610,6 @@ FOREIGN_FLAGS = [
     (("permutree", "insert", "--pi", "123", "--delta", "nnn"), "--cap", "0"),
     (("permutree", "sort", "--pi", "321"), "--delta", "nnn"),
     (("permutree", "sort", "--pi", "321"), "--n", "3"),
-    (("permutree", "sort", "--pi", "321"), "--cap", "5"),
     (("sorder", "count", "--s", "1,2"), "--epsilon", "0"),
     (("sorder", "count", "--s", "1,2"), "--approx", "3"),
     (("sorder", "count", "--s", "1,2"), "--cap", "5"),
@@ -593,7 +632,7 @@ def test_foreign_flags_cover_every_pair_the_grammar_drops():
         for flag in family_flags[family] - reads
     }
     assert {(*argv[:2], flag) for argv, flag, _ in FOREIGN_FLAGS} == dropped
-    assert len(dropped) == 24
+    assert len(dropped) == 23
 
 
 @pytest.mark.parametrize(

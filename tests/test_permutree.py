@@ -108,6 +108,8 @@ def test_rotate_errors_and_covers():
     b = pt.bottom(d)
     with pytest.raises(ValidationError):
         pt.rotate(b, (2, 4))  # not an edge
+    with pytest.raises(ValidationError, match=r"need an edge \(i, j\) with i < j, got \(2, 1\)"):
+        pt.rotate(b, (2, 1))  # the edge 1 -> 2 named the wrong way round
     atoms = [pt.rotate(b, e) for e in pt.increasing_rotations(b)]
     assert all(len(a.inversion_pairs()) >= 1 for a in atoms)
     # minimal element has edges i -> i+1 only
@@ -447,6 +449,36 @@ def test_updown_sections():
     assert pt.updown_sections(d) == [("n", "n"), ("n", "n"), ("n", "n")]
     d = pt.Decoration("ndxun")
     assert pt.updown_sections(d) == [("n", "d", "n"), ("n", "u", "n")]
+
+
+def updown_sections_by_cuts(delta):
+    """Oracle: the runs between consecutive cuts (the ends and every 'x'),
+    each cut included in both runs it bounds and read as 'n'."""
+    syms = delta.symbols
+    n = len(syms)
+    cuts = [0] + [p for p in range(n) if syms[p] == "x"] + [n - 1]
+    if n == 0:
+        return []
+    sections = []
+    for k in range(len(cuts) - 1):
+        sec = list(syms[cuts[k] : cuts[k + 1] + 1])
+        if sec and sec[0] == "x":
+            sec[0] = "n"
+        if sec and sec[-1] == "x":
+            sec[-1] = "n"
+        sections.append(tuple(sec))
+    return sections
+
+
+def test_updown_sections_match_the_cuts():
+    checked = 0
+    for n in range(10):  # n = 0 and n = 1 included
+        for d in pt.normalized_decorations(n):
+            assert pt.updown_sections(d) == updown_sections_by_cuts(d), d
+            checked += 1
+    assert checked == 21_847
+    assert pt.updown_sections(pt.Decoration("")) == []
+    assert pt.updown_sections(pt.Decoration("x")) == [("n",)]
 
 
 def test_rotate_matches_closure_route():

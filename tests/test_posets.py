@@ -189,6 +189,13 @@ def test_cyclic_covers_raise():
         Hasse("ab", [("a", "a"), ("a", "b")])
 
 
+def test_an_image_outside_the_target_is_no_isomorphism():
+    chain, other = Hasse("ab", [("a", "b")]), Hasse("xy", [("x", "y")])
+    assert isomorphic_via(chain, other, {"a": "x", "b": "y"})
+    # as many elements, and as many images, but "z" is not in the target
+    assert not isomorphic_via(chain, other, {"a": "x", "b": "z"})
+
+
 def test_masks_are_built_on_the_first_order_query():
     H = rotation_lattice("nnnnnnn")
     assert len(H) == 5040

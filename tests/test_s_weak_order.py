@@ -414,6 +414,13 @@ def test_invalid_multiset_rejected():
             check(m, s)
 
 
+def test_a_multiset_that_fails_planarity_names_its_triple():
+    # transitive, every entry in range, yet no word has it
+    with pytest.raises(ValidationError, match="multiset planarity fails") as err:
+        sw.word_from_multiset((0, 1, 0), (1, 1, 1))
+    assert err.value.witness == (1, 2, 3)
+
+
 def test_s_leq():
     assert sw.s_leq(sw.sorted_word(RUN_S), RUN_W, RUN_S)
     w2 = (3, 3, 7, 2, 7, 5, 4, 5, 5, 1, 6)

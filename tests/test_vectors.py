@@ -75,6 +75,12 @@ def test_meet_worked_example():
     assert M.inversion_pairs() == frozenset({(2, 4), (3, 4)})
 
 
+def test_meet_refuses_two_decorations():
+    a, b = pt.insert((1, 2, 3), "nnn"), pt.insert((1, 2, 3), "ndn")
+    with pytest.raises(ValidationError, match="meet requires a common decoration"):
+        vec.meet_via_inversions(a, b)
+
+
 def test_meet_is_idempotent_commutative_associative():
     d = pt.Decoration("nxdn")
     lat = pt.rotation_lattice(d)

@@ -3,8 +3,10 @@ included, is that criterion's FAIL line, and the run goes on to the rest."""
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
+import textwrap
 
 import pytest
 
@@ -12,6 +14,7 @@ from permutree_lab import automata as am
 from permutree_lab import bicho as bi
 from permutree_lab import cli
 from permutree_lab import flows as fl
+from permutree_lab import oruga as og
 from permutree_lab import permutree as pt
 from permutree_lab import s_weak_order as sw
 from permutree_lab import vectors as vec
@@ -142,6 +145,48 @@ def _row_1_top_bit_dropped(tree):
 _count = pt.count_permutrees
 
 
+def _mutant(fn, old, new):
+    """`fn` compiled again with `old` replaced by `new` in its source, against
+    a copy of its module's namespace, so the module itself stays as it is."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    scope = dict(fn.__globals__)
+    exec(source.replace(old, new), scope)
+    return scope[fn.__name__]
+
+
+_sort = am.permutree_sort
+
+
+def _sort_without_its_last_letter(pi, U, D, cap=None):
+    out = _sort(pi, U, D, cap=cap)
+    return am.SortOutcome(out.word[:-1], out.sorted, out.residual, out.trace)
+
+
+_coxeter_sort = am.coxeter_sort
+
+
+def _coxeter_sort_without_its_last_letter(pi, c):
+    word, sortable = _coxeter_sort(pi, c)
+    return word[:-1], sortable
+
+
+_kostant = fl.kostant
+_coordinates = og.vertex_coordinates
+
+
+def _bottom_vertex_moved(w, s, hs):
+    coords = _coordinates(w, s, hs)
+    return (coords[0] + 1, *coords[1:]) if w == sw.sorted_word(s) else coords
+
+
+_delta_w = og.delta_w
+
+
+def _one_route_missing(w, s):
+    return frozenset(sorted(_delta_w(w, s), key=str)[1:])
+
+
 @pytest.mark.parametrize(
     "criterion, module, name, fault, detail",
     [
@@ -157,6 +202,16 @@ _count = pt.count_permutrees
          "search (1, 2, 3, 4, 5) frozenset() frozenset()"),
         (verify.criterion_10, bi, "permutree_clique", _bottom_clique, "cliques nn"),
         (verify.criterion_10, bi, "permutree_clique", _top_and_bottom_swapped, "dual poset nn"),
+        (verify.criterion_5, am, "permutree_sort", _sort_without_its_last_letter, "word (1, 3, 2)"),
+        (verify.criterion_6, am, "coxeter_sort", _coxeter_sort_without_its_last_letter,
+         "c-word wrong (1, 3, 2)"),
+        (verify.criterion_7, sw, "add_ascents", _mutant(sw.add_ascents, " | gain[p]", ""),
+         "closure s=(1, 1, 2, 1) w=(1, 3, 2, 3, 4) A=[(1, 3), (3, 4)]: multiset transitivity fails"),
+        (verify.criterion_8, fl, "kostant", lambda G, a, cap=None: _kostant(G, a, cap) + 1,
+         "K_G(0,1,1,-2)"),
+        (verify.criterion_9, og, "vertex_coordinates", _bottom_vertex_moved,
+         "edge direction mismatch at (1, 2) + (1, 2)"),
+        (verify.criterion_11, og, "delta_w", _one_route_missing, "(1,)"),
     ],
 )
 def test_a_planted_fault_fails_its_criterion(criterion, module, name, fault, detail, monkeypatch):
